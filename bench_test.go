@@ -33,22 +33,17 @@ func quickEnv() *harness.Env { return harness.NewEnv(harness.QuickScale()) }
 // and oracle), the block-sharded parallel launch engine (machine-sized
 // worker pool; small launches fall back to serial, so on single-core
 // machines or sub-cutoff workloads the parallel rows match the bytecode
-// rows), and the warp-vectorized engine (32 lanes per instruction
-// decode, single worker — its speedup is pure decode amortization and
-// holds even on one core). The scalar rows pin WarpOff so the adaptive
-// planner cannot silently route them through the warp dispatcher.
+// rows), and the same serial engine with superinstruction fusion disabled.
 var benchEngines = []struct {
 	name          string
 	interp        gpu.Interpreter
 	launchWorkers int
 	nofuse        bool
-	warp          gpu.WarpMode
 }{
-	{"bytecode", gpu.InterpreterBytecode, 1, false, gpu.WarpOff},
-	{"unfused", gpu.InterpreterBytecode, 1, true, gpu.WarpOff},
-	{"tree", gpu.InterpreterTree, 1, false, gpu.WarpOff},
-	{"parallel", gpu.InterpreterBytecode, 0, false, gpu.WarpOff},
-	{"warp", gpu.InterpreterBytecode, 1, false, gpu.WarpOn},
+	{"bytecode", gpu.InterpreterBytecode, 1, false},
+	{"unfused", gpu.InterpreterBytecode, 1, true},
+	{"tree", gpu.InterpreterTree, 1, false},
+	{"parallel", gpu.InterpreterBytecode, 0, false},
 }
 
 // baselineLaunch stages one workload on a fresh device with the given
@@ -56,12 +51,11 @@ var benchEngines = []struct {
 // it, plus the (engine-independent) simulated cycle count. Device
 // construction and input staging stay outside the measured region so the
 // benchmark isolates interpreter throughput.
-func baselineLaunch(tb testing.TB, spec *workloads.Spec, interp gpu.Interpreter, launchWorkers int, nofuse bool, warp gpu.WarpMode) (func(), float64) {
+func baselineLaunch(tb testing.TB, spec *workloads.Spec, interp gpu.Interpreter, launchWorkers int, nofuse bool) (func(), float64) {
 	cfg := gpu.DefaultConfig()
 	cfg.Interpreter = interp
 	cfg.LaunchWorkers = launchWorkers
 	cfg.DisableFusion = nofuse
-	cfg.Warp = warp
 	d := gpu.New(cfg)
 	k := spec.Build()
 	inst := spec.Setup(d, workloads.Dataset{Index: 0})
@@ -91,7 +85,7 @@ func BenchmarkBaselineKernels(b *testing.B) {
 			for _, spec := range workloads.HPC() {
 				spec := spec
 				b.Run(spec.Name, func(b *testing.B) {
-					launch, cycles := baselineLaunch(b, spec, eng.interp, eng.launchWorkers, eng.nofuse, eng.warp)
+					launch, cycles := baselineLaunch(b, spec, eng.interp, eng.launchWorkers, eng.nofuse)
 					b.ReportMetric(cycles, "gpu-cycles")
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
@@ -496,14 +490,10 @@ func obsHookLaunch(tb testing.TB, tel *obs.Telemetry) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// Pin the launch plan (serial, scalar): the adaptive planner's
-	// calibration EWMAs drift with wall-clock speed, and a plan change
-	// between the two AllocsPerRun batches would show up as a telemetry
-	// allocation diff. The comparison under test is telemetry-off vs
-	// telemetry-nop, not planner stability.
+	// Pin the launch plan to serial: the comparison under test is
+	// telemetry-off vs telemetry-nop, not the planner.
 	cfg := gpu.DefaultConfig()
 	cfg.LaunchWorkers = 1
-	cfg.Warp = gpu.WarpOff
 	d := gpu.New(cfg)
 	inst := spec.Setup(d, workloads.Dataset{Index: 0})
 	return func() {
@@ -616,16 +606,14 @@ func TestWriteObsBenchJSON(t *testing.T) {
 //
 // For each workload it records wall-clock ns/op, simulated GPU cycles,
 // and simulated-cycles-per-second of host time for the tree walker, the
-// serial bytecode engine, the block-sharded parallel launch engine, and
-// the warp-vectorized engine; the headline numbers are the
-// geometric-mean speedups of the bytecode engine over the tree walker,
-// of parallel over serial bytecode, and of warp over serial bytecode.
-// The report records the host core count and worker budget: on a
-// single-core machine (or for workloads below the parallel cutoff) the
-// parallel engine deliberately falls back to serial, its speedup is ~1,
-// and the parallel and warp rows are stamped degraded_host so regression
-// gates skip the serial-fallback noise (the warp speedup itself remains
-// honest — decode amortization needs no second core).
+// serial bytecode engine (fused and unfused), and the block-sharded
+// parallel launch engine; the headline numbers are the geometric-mean
+// speedups of the bytecode engine over the tree walker, of fusion, and of
+// parallel over serial bytecode. The report records the host core count
+// and worker budget: on a single-core machine (or for workloads below the
+// parallel cutoff) the parallel engine deliberately falls back to serial,
+// its speedup is ~1, and the parallel row is stamped degraded_host so
+// regression gates skip the serial-fallback noise.
 func TestWritePerfBenchJSON(t *testing.T) {
 	path := os.Getenv("BENCH_PERF_JSON")
 	if path == "" {
@@ -638,8 +626,8 @@ func TestWritePerfBenchJSON(t *testing.T) {
 	// sample cannot fabricate a phantom regression in the committed
 	// baseline.
 	const perfSamples = 3
-	measure := func(spec *workloads.Spec, interp gpu.Interpreter, launchWorkers int, nofuse bool, warp gpu.WarpMode) (testing.BenchmarkResult, float64) {
-		launch, cycles := baselineLaunch(t, spec, interp, launchWorkers, nofuse, warp)
+	measure := func(spec *workloads.Spec, interp gpu.Interpreter, launchWorkers int, nofuse bool) (testing.BenchmarkResult, float64) {
+		launch, cycles := baselineLaunch(t, spec, interp, launchWorkers, nofuse)
 		var best testing.BenchmarkResult
 		for i := 0; i < perfSamples; i++ {
 			res := testing.Benchmark(func(b *testing.B) {
@@ -655,21 +643,18 @@ func TestWritePerfBenchJSON(t *testing.T) {
 	}
 	degraded := runtime.NumCPU() == 1
 	var rows []harness.BenchWorkload
-	logSum, logSumFuse, logSumPar, logSumWarp := 0.0, 0.0, 0.0, 0.0
+	logSum, logSumFuse, logSumPar := 0.0, 0.0, 0.0
 	for _, spec := range workloads.HPC() {
-		tree, cycles := measure(spec, gpu.InterpreterTree, 1, false, gpu.WarpOff)
-		bc, _ := measure(spec, gpu.InterpreterBytecode, 1, false, gpu.WarpOff)
-		unf, _ := measure(spec, gpu.InterpreterBytecode, 1, true, gpu.WarpOff)
-		par, _ := measure(spec, gpu.InterpreterBytecode, 0, false, gpu.WarpOff)
-		wp, _ := measure(spec, gpu.InterpreterBytecode, 1, false, gpu.WarpOn)
+		tree, cycles := measure(spec, gpu.InterpreterTree, 1, false)
+		bc, _ := measure(spec, gpu.InterpreterBytecode, 1, false)
+		unf, _ := measure(spec, gpu.InterpreterBytecode, 1, true)
+		par, _ := measure(spec, gpu.InterpreterBytecode, 0, false)
 		engine := func(r testing.BenchmarkResult) harness.BenchEngineStats {
 			return harness.BenchEngineStats{NsPerOp: r.NsPerOp(), CyclesPerSec: cycles * 1e9 / float64(r.NsPerOp())}
 		}
 		unfused := engine(unf)
 		parallel := engine(par)
 		parallel.DegradedHost = degraded
-		warp := engine(wp)
-		warp.DegradedHost = degraded
 		row := harness.BenchWorkload{
 			Program:         spec.Name,
 			Cycles:          cycles,
@@ -677,30 +662,26 @@ func TestWritePerfBenchJSON(t *testing.T) {
 			Bytecode:        engine(bc),
 			Unfused:         &unfused,
 			Parallel:        parallel,
-			Warp:            &warp,
 			Speedup:         float64(tree.NsPerOp()) / float64(bc.NsPerOp()),
 			FusionSpeedup:   float64(unf.NsPerOp()) / float64(bc.NsPerOp()),
 			ParallelSpeedup: float64(bc.NsPerOp()) / float64(par.NsPerOp()),
-			WarpSpeedup:     float64(bc.NsPerOp()) / float64(wp.NsPerOp()),
 		}
 		logSum += math.Log(row.Speedup)
 		logSumFuse += math.Log(row.FusionSpeedup)
 		logSumPar += math.Log(row.ParallelSpeedup)
-		logSumWarp += math.Log(row.WarpSpeedup)
 		rows = append(rows, row)
-		t.Logf("%-8s tree %d ns/op, bytecode %d ns/op (%.2fx, fusion %.2fx), parallel %d ns/op (%.2fx over serial), warp %d ns/op (%.2fx over serial)",
+		t.Logf("%-8s tree %d ns/op, bytecode %d ns/op (%.2fx, fusion %.2fx), parallel %d ns/op (%.2fx over serial)",
 			spec.Name, row.Tree.NsPerOp, row.Bytecode.NsPerOp, row.Speedup, row.FusionSpeedup,
-			row.Parallel.NsPerOp, row.ParallelSpeedup, row.Warp.NsPerOp, row.WarpSpeedup)
+			row.Parallel.NsPerOp, row.ParallelSpeedup)
 	}
 	report := harness.BenchReport{
-		Benchmark:              "BenchmarkBaselineKernels: tree walker vs serial (fused and unfused) vs parallel vs warp bytecode engine",
+		Benchmark:              "BenchmarkBaselineKernels: tree walker vs serial (fused and unfused) vs parallel bytecode engine",
 		HostCores:              runtime.NumCPU(),
 		WorkerBudget:           gpu.LaunchBudget(),
 		Workloads:              rows,
 		GeomeanSpeedup:         math.Exp(logSum / float64(len(rows))),
 		GeomeanFusionSpeedup:   math.Exp(logSumFuse / float64(len(rows))),
 		GeomeanParallelSpeedup: math.Exp(logSumPar / float64(len(rows))),
-		GeomeanWarpSpeedup:     math.Exp(logSumWarp / float64(len(rows))),
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -709,8 +690,8 @@ func TestWritePerfBenchJSON(t *testing.T) {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: geomean speedup %.2fx (tree->bytecode), %.2fx (unfused->fused), %.2fx (serial->parallel on %d cores), %.2fx (serial->warp)",
-		path, report.GeomeanSpeedup, report.GeomeanFusionSpeedup, report.GeomeanParallelSpeedup, report.HostCores, report.GeomeanWarpSpeedup)
+	t.Logf("wrote %s: geomean speedup %.2fx (tree->bytecode), %.2fx (unfused->fused), %.2fx (serial->parallel on %d cores)",
+		path, report.GeomeanSpeedup, report.GeomeanFusionSpeedup, report.GeomeanParallelSpeedup, report.HostCores)
 }
 
 // BenchmarkRecoveryCampaign drives injections through the full Figure 11

@@ -27,21 +27,17 @@
 // clients.
 //
 // -engine selects the kernel execution engine: the compiled bytecode
-// engine (default, with superinstruction fusion), the same engine with
-// fusion disabled (unfused), the tree-walking interpreter both replaced
-// (tree), or the warp-vectorized dispatcher (warp: 32 lanes per
-// instruction decode, bit-identical to the scalar engines; launches that
-// need live serial-order hook delivery — fault overlays, mutating probes —
-// transparently degrade to scalar serial). The default bytecode engine
-// picks between scalar and warp dispatch adaptively per launch, using the
-// calibrated ns/cycle of each engine; -engine warp forces warp dispatch.
+// engine (default, with superinstruction fusion) or the tree-walking
+// interpreter it replaced (tree), kept as the differential oracle. Both
+// are bit-identical; the choice reaches -isolation process workers too.
 //
 // -workers sizes campaign/profiling parallelism and -launch-workers the
 // per-launch block-shard pool of the bytecode engine; both draw extra
 // goroutines from one process-wide budget (default NumCPU-1, override
 // with -worker-budget) so nested parallelism never oversubscribes the
-// machine. Parallel launches are bit-identical to serial ones, so these
-// are pure throughput knobs.
+// machine. Only hook-free launches shard; instrumented and injected
+// launches run serially. Parallel launches are bit-identical to serial
+// ones, so these are pure throughput knobs.
 //
 // With -campaign-dir the tool runs a durable fault-injection campaign for
 // the program instead of a single supervised run: every classified
@@ -110,7 +106,7 @@ func run() int {
 		saveRanges  = flag.String("save-ranges", "", "write the (possibly on-line-updated) value ranges to this JSON file at exit")
 		tracePath   = flag.String("trace", "", "write a JSONL telemetry event journal to this file")
 		metricsPath = flag.String("metrics", "", "dump Prometheus-text metrics to this file at exit")
-		engine      = flag.String("engine", "bytecode", "kernel execution engine: bytecode (fused, adaptive scalar/warp dispatch), unfused (bytecode without superinstruction fusion), tree, or warp (forced warp-vectorized dispatch)")
+		engine      = flag.String("engine", "bytecode", "kernel execution engine: bytecode (compiled, with superinstruction fusion) or tree (tree-walking interpreter)")
 		workers     = flag.Int("workers", 0, "campaign/profiling worker goroutines (0 = one per CPU, shared with -launch-workers)")
 		launchWork  = flag.Int("launch-workers", 0, "per-launch block-shard workers (0 = machine-sized, 1 = serial, >1 = explicit; bytecode engine only)")
 		budget      = flag.Int("worker-budget", -1, "process-wide extra-worker budget shared by campaign and launch parallelism (-1 = NumCPU-1)")
@@ -155,25 +151,11 @@ func run() int {
 	}
 
 	var interp gpu.Interpreter
-	var nofuse bool
-	var warpMode gpu.WarpMode
 	switch *engine {
 	case "bytecode":
 		interp = gpu.InterpreterBytecode
-	case "unfused":
-		interp = gpu.InterpreterBytecode
-		nofuse = true
 	case "tree":
 		interp = gpu.InterpreterTree
-	case "warp":
-		interp = gpu.InterpreterBytecode
-		warpMode = gpu.WarpOn
-		if *launchWork == 0 {
-			// Forced warp dispatch defaults to the single-worker warp
-			// driver; an explicit -launch-workers still shards blocks, each
-			// shard iterating warps ("warp-parallel").
-			*launchWork = 1
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown engine %q\n", *engine)
 		return 2
@@ -269,9 +251,7 @@ func run() int {
 	}
 	env := harness.NewEnv(sc).WithObs(tel)
 	env.Config.Interpreter = interp
-	env.Config.DisableFusion = nofuse
 	env.Config.LaunchWorkers = *launchWork
-	env.Config.Warp = warpMode
 	env.Scale.Workers = *workers
 	ds := workloads.Dataset{Index: *dataset}
 
@@ -328,7 +308,7 @@ func run() int {
 	// with a known output. A persistent fault lives in device 0's
 	// hardware, so the self test fails there and the recovery engine
 	// migrates the program.
-	devPool := makeDevices(*devices, interp, nofuse, *launchWork, warpMode)
+	devPool := makeDevices(*devices, interp, *launchWork)
 	faulty := devPool[0]
 	selfTest := func(d *gpu.Device) bool {
 		if *persistent && d == faulty {
@@ -512,12 +492,10 @@ func runCampaign(env *harness.Env, spec *workloads.Spec, ds workloads.Dataset, d
 	return 0
 }
 
-func makeDevices(n int, interp gpu.Interpreter, nofuse bool, launchWorkers int, warp gpu.WarpMode) []*gpu.Device {
+func makeDevices(n int, interp gpu.Interpreter, launchWorkers int) []*gpu.Device {
 	cfg := gpu.DefaultConfig()
 	cfg.Interpreter = interp
-	cfg.DisableFusion = nofuse
 	cfg.LaunchWorkers = launchWorkers
-	cfg.Warp = warp
 	out := make([]*gpu.Device, n)
 	for i := range out {
 		out[i] = gpu.New(cfg)

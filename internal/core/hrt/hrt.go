@@ -145,14 +145,6 @@ func NewProfiler(cb *ControlBlock, numSites int) *Runtime {
 	return r
 }
 
-// PureObserverHooks reports whether this runtime only observes the
-// launch: without an injection delegate, Probe never changes a value and
-// every other callback records into CPU-side state, so the launch is
-// eligible for the parallel block-sharded engine (gpu.HookObserver).
-// With Inject set, Probe feeds corrupted values back into the kernel and
-// the launch must execute serially for SWIFI semantics to hold.
-func (r *Runtime) PureObserverHooks() bool { return r.Inject == nil }
-
 // Probe forwards to the injection delegate.
 func (r *Runtime) Probe(tc gpu.ThreadCtx, site int, v *kir.Var, hw kir.HW, val uint32) (uint32, bool) {
 	if r.Inject == nil {

@@ -55,9 +55,8 @@ func TestRecipPow2Exact(t *testing.T) {
 	}
 }
 
-// TestAveragedSlotsZeroAlloc pins that the hot averaging path — shared by
-// the serial and warp RangeCheck/ProfileSample intrinsics — allocates
-// nothing.
+// TestAveragedSlotsZeroAlloc pins that the hot averaging path of the
+// RangeCheck/ProfileSample intrinsics allocates nothing.
 func TestAveragedSlotsZeroAlloc(t *testing.T) {
 	var sink float64
 	allocs := testing.AllocsPerRun(100, func() {

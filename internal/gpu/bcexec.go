@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
-	"time"
 
 	"hauberk/internal/kir"
 )
@@ -15,7 +14,7 @@ import (
 // flat dispatch in (*bcThread).run.
 func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error) {
 	p, hit := programFor(k, d.cfg)
-	workers, extra, useWarp, mode := d.launchPlan(p, &spec)
+	workers, extra, mode := d.launchPlan(&spec)
 	if spec.Obs.Enabled() {
 		result := "miss"
 		if hit {
@@ -25,7 +24,7 @@ func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error)
 		m.Counter("hauberk_program_cache_total",
 			"kernel", k.Name, "result", result).Inc()
 		m.Help("hauberk_launch_modes_total",
-			"launch scheduling decisions: warp vectorization, parallel block sharding, and serial fallbacks")
+			"launch scheduling decisions: parallel block sharding of hook-free launches, or the serial fallback and its reason")
 		m.Counter("hauberk_launch_modes_total", "kernel", k.Name, "mode", mode).Inc()
 		if workers > 1 {
 			m.Help("hauberk_launch_shard_workers_total",
@@ -35,10 +34,7 @@ func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error)
 	}
 	if workers > 1 {
 		defer ReleaseLaunchSlots(extra)
-		return d.launchParallel(k, spec, p, workers, useWarp)
-	}
-	if useWarp {
-		return d.launchWarp(k, spec, p)
+		return d.launchParallel(k, spec, p, workers)
 	}
 
 	res := &Result{Threads: spec.Grid * spec.Block, MaxLive: p.maxLive, Spill: p.spillExtra > 0}
@@ -70,7 +66,6 @@ func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error)
 		t.fastLimit = VirtualWords
 	}
 
-	start := time.Now()
 	for blk := 0; blk < spec.Grid; blk++ {
 		var warpMax float64
 		for tid := 0; tid < spec.Block; tid++ {
@@ -101,10 +96,6 @@ func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error)
 			}
 		}
 	}
-	// Completed serial launches calibrate the adaptive launch planner:
-	// the program's per-thread cycle estimate and the process-wide
-	// engine-speed EWMA (see sched.go).
-	recordLaunchEstimate(p, sumThreadCycles, res.Threads, time.Since(start))
 	finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
 	return res, nil
 }

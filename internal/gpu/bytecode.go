@@ -147,19 +147,12 @@ const (
 // in the non-loop case). cost2/costLoop2 carry a fused-away successor's
 // charges, added at the bottom of the dispatch iteration on fallthrough
 // only (+0.0 for unfused instructions — again a bitwise identity).
-//
-// rpc is the reconvergence pc of conditional branches (opJZ, opForTest,
-// opCmpJZ): the immediate post-dominator of the branch, computed at compile
-// time. The structured source language makes it syntactic — the join after
-// an If (after the Else when one exists), or the loop exit for For/While
-// heads. The serial engines ignore it; the warp engine (wexec.go) parks
-// diverged lanes there until the other side of the branch catches up.
 type inst struct {
 	op         opcode
 	flags      uint8
 	a, b, c, d int32
-	rpc        int32
 	imm        uint32
+	_          uint32 // pads inst to 64 bytes: one cache line, shift-indexed
 	cost       float64
 	costLoop   float64
 	cost2      float64
@@ -206,24 +199,12 @@ type program struct {
 	// dispatch iterations fusion saves per straight-line pass.
 	unfusedLen int
 
-	// estCycleBits is an EWMA of observed per-thread simulated cycles for
-	// this program (float64 bits; 0 = no launch measured yet). The adaptive
-	// launch planner multiplies it by the thread count and the calibrated
-	// engine speed to predict serial wall time (see sched.go).
-	estCycleBits atomic.Uint64
-
 	// regPool recycles register files across launches and shard workers.
 	// Pooling per program keys the pool by exactly the register-file
 	// size (nslots) and lets reused slices keep their constant pool
 	// loaded: variable slots are cleared per thread and temporaries
 	// never alias constant slots, so only a fresh slice pays the copy.
 	regPool sync.Pool
-
-	// warpRegPool recycles warp-width register files (struct-of-arrays:
-	// warpWidth lanes per slot, see wexec.go) the same way: the constant
-	// pool is broadcast across all lanes once at slice creation and stays
-	// valid across reuses.
-	warpRegPool sync.Pool
 }
 
 // getRegs returns a ready register file for this program: nslots words
@@ -239,26 +220,6 @@ func (p *program) getRegs() *[]uint32 {
 
 // putRegs recycles a register file obtained from getRegs.
 func (p *program) putRegs(r *[]uint32) { p.regPool.Put(r) }
-
-// getWarpRegs returns a ready warp register file: nslots × warpWidth words
-// in struct-of-arrays layout (slot s, lane l at s*warpWidth+l) with the
-// constant pool broadcast across all lanes. Return it with putWarpRegs.
-func (p *program) getWarpRegs() *[]uint32 {
-	if v := p.warpRegPool.Get(); v != nil {
-		return v.(*[]uint32)
-	}
-	regs := make([]uint32, p.nslots*warpWidth)
-	for i, cv := range p.consts {
-		lanes := regs[(p.nv+i)*warpWidth : (p.nv+i+1)*warpWidth]
-		for l := range lanes {
-			lanes[l] = cv
-		}
-	}
-	return &regs
-}
-
-// putWarpRegs recycles a warp register file obtained from getWarpRegs.
-func (p *program) putWarpRegs(r *[]uint32) { p.warpRegPool.Put(r) }
 
 // fusionVersion identifies the superinstruction fusion pass generation; it
 // participates in the program cache key so a cached fused program is never

@@ -91,40 +91,29 @@ func runDiff(t *testing.T, tc diffCase) (*Result, error) {
 		arenas [][]uint32
 		log    []string
 	}
-	// Four engines: fused bytecode (the default), the unfused bytecode
-	// stream, the tree-walker oracle, and the warp-vectorized dispatcher.
-	// Every observable must be bit-identical across all four. The scalar
-	// engines pin WarpOff so the auto heuristic can't silently route them
-	// through the warp path; the warp engine forces WarpOn. Fault-overlay
-	// cases degrade the warp engine back to scalar serial by design
-	// (warpPick rejects fault devices), which keeps the row a valid — if
-	// trivial — identity.
+	// Three engines: fused bytecode (the default), the unfused bytecode
+	// stream, and the tree-walker oracle. Every observable, including the
+	// live hook sequence, must be bit-identical across all three.
 	engines := []struct {
 		name   string
 		interp Interpreter
 		nofuse bool
-		warp   WarpMode
 	}{
-		{"fused", InterpreterBytecode, false, WarpOff},
-		{"unfused", InterpreterBytecode, true, WarpOff},
-		{"tree", InterpreterTree, false, WarpOff},
-		{"warp", InterpreterBytecode, false, WarpOn},
+		{"fused", InterpreterBytecode, false},
+		{"unfused", InterpreterBytecode, true},
+		{"tree", InterpreterTree, false},
 	}
 	runs := make([]run, len(engines))
 	for i, eng := range engines {
 		cfg := tc.cfg
 		cfg.Interpreter = eng.interp
 		cfg.DisableFusion = eng.nofuse
-		cfg.Warp = eng.warp
 		d := New(cfg)
 		if tc.fault != nil {
 			d.SetMemFault(tc.fault)
 		}
 		args := tc.setup(d, k)
-		// Pure-observer hooks so the warp engine actually engages (warpPick
-		// refuses impure hooks even under WarpOn); recording still works the
-		// same way through the embedded bcRecHooks.
-		hooks := &pureRecHooks{}
+		hooks := &bcRecHooks{}
 		res, err := d.Launch(k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: args, Hooks: hooks})
 		var arenas [][]uint32
 		for _, buf := range d.Buffers() {

@@ -43,10 +43,6 @@ func NewCountingHooks(inner Hooks) *CountingHooks {
 	return &CountingHooks{inner: inner}
 }
 
-// PureObserverHooks delegates the parallel-eligibility declaration to the
-// wrapped hooks: counting itself never mutates kernel state.
-func (c *CountingHooks) PureObserverHooks() bool { return HooksArePure(c.inner) }
-
 // Counts returns a copy of the accumulated tallies.
 func (c *CountingHooks) Counts() HookCounts {
 	out := c.counts

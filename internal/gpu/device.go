@@ -52,28 +52,6 @@ const (
 	ModeCPU
 )
 
-// WarpMode selects how the bytecode engine uses the warp-vectorized
-// dispatch loop (wexec.go), which executes up to 32 lanes per instruction
-// decode. Warp, serial, and parallel execution are bit-identical in
-// outputs, cycle accounting, hook sequences, and failure attribution, so
-// the mode is purely a throughput knob.
-type WarpMode uint8
-
-// Warp dispatch modes.
-const (
-	// WarpAuto (the zero value) lets the launch planner pick warp vs
-	// scalar dispatch per launch from the calibrated ns-per-cycle EWMAs
-	// (see sched.go): warp engages for blocks wide enough to amortize a
-	// decode, and stays engaged only while it measures faster.
-	WarpAuto WarpMode = iota
-	// WarpOn forces warp dispatch whenever semantics allow (pure-observer
-	// hooks, no memory-fault overlay); used by `-engine warp` and the
-	// differential suites.
-	WarpOn
-	// WarpOff forces scalar dispatch.
-	WarpOff
-)
-
 // Interpreter selects the kernel execution engine.
 type Interpreter uint8
 
@@ -108,19 +86,15 @@ type Config struct {
 	// worker plus as many extra slots as the shared launch budget
 	// grants; 1 forces serial execution; values > 1 request that many
 	// workers (still capped by the grid size and the shared budget) and
-	// bypass the small-launch cutoff. Parallel and serial launches are
-	// bit-identical, so this is purely a throughput knob.
+	// bypass the small-launch cutoff. Launches with hooks or a
+	// memory-fault overlay always run serially. Parallel and serial
+	// launches are bit-identical, so this is purely a throughput knob.
 	LaunchWorkers int
 	// DisableFusion turns off the post-compile superinstruction fusion
 	// pass (fuse.go). Fused and unfused programs are bit-identical in
 	// outputs, cycle accounting, and failure attribution; the knob exists
-	// for differential testing and as an escape hatch.
+	// for differential tests and the engine benchmarks only.
 	DisableFusion bool
-	// Warp controls the warp-vectorized dispatch loop of the bytecode
-	// engine (wexec.go): the zero value lets the launch planner choose
-	// per launch; WarpOn / WarpOff force it. Launches with impure hooks
-	// or a memory-fault overlay always run the scalar serial engine.
-	Warp WarpMode
 }
 
 // DefaultConfig returns a GT200-like device: 30 SMs, 32-wide warps, 20

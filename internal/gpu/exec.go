@@ -114,9 +114,8 @@ func launchStatus(err error) string {
 
 func (d *Device) launch(k *kir.Kernel, spec LaunchSpec) (res *Result, err error) {
 	// Containment boundary: a panic anywhere in the engines or in hook
-	// delivery (including the parallel reducer's buffered replay) becomes
-	// a classified crash failure of this launch, never a dead campaign
-	// process. Shard-goroutine panics are recovered in launchParallel and
+	// delivery becomes a classified crash failure of this launch, never a
+	// dead campaign process. Shard-goroutine panics are recovered in launchParallel and
 	// surface as an ordinary *PanicError return.
 	defer func() {
 		if r := recover(); r != nil {

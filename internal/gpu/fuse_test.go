@@ -87,22 +87,6 @@ func TestFusionShrinksAndPreservesCharges(t *testing.T) {
 			}
 		}
 	}
-	// Every conditional branch carries a reconvergence pc for the warp
-	// engine: it must survive compaction in range, and can never precede
-	// the not-taken target (If-else joins after the else block; loop exits
-	// and else-less Ifs reconverge exactly at the target).
-	for _, p := range []*program{fused, unfused} {
-		n := int32(len(p.insts))
-		for i := range p.insts {
-			in := &p.insts[i]
-			switch in.op {
-			case opJZ, opForTest, opCmpJZ:
-				if in.rpc < in.a || in.rpc > n {
-					t.Fatalf("inst %d (%v): reconvergence pc %d out of range [%d,%d]", i, in.op, in.rpc, in.a, n)
-				}
-			}
-		}
-	}
 	for ri, r := range fused.regions {
 		if r.start < 0 || r.end < r.start || r.end > int(n) {
 			t.Fatalf("region %d: bounds [%d,%d) out of range after compaction", ri, r.start, r.end)
@@ -199,12 +183,10 @@ func TestFusionCatalogFires(t *testing.T) {
 }
 
 // TestFusionDiffFaultOverlay routes a mul-add reduction with indexed loads
-// through the fused, unfused, tree, and warp engines under a memory-fault
+// through the fused, unfused, and tree engines under a memory-fault
 // overlay that flips a bit of every loaded word at odd addresses. The
 // corrupted figures, cycle bits, and hook sequences must stay identical
 // across all engines: fusion must not change which loads see the overlay.
-// (The warp row degrades to scalar serial under a fault overlay by design,
-// so it participates as an identity check of that degradation.)
 func TestFusionDiffFaultOverlay(t *testing.T) {
 	tc := diffCase{
 		cfg: DefaultConfig(), grid: 2, block: 8,
@@ -232,7 +214,7 @@ func TestFusionDiffFaultOverlay(t *testing.T) {
 
 // TestFusionDiffIndexedCrash drives an out-of-bounds indexed load — the
 // shape that fuses into opLoadIdx, the only fused instruction that can
-// crash — through all four engines. Error class, crash position, and the
+// crash — through all three engines. Error class, crash position, and the
 // cycle bits charged before the crash must be identical.
 func TestFusionDiffIndexedCrash(t *testing.T) {
 	tc := diffCase{

@@ -16,14 +16,11 @@ func (t ThreadCtx) Global(blockDim int) int { return t.Block*blockDim + t.Thread
 // (internal/swifi) implement it; a launch without instrumentation passes
 // nil and the interpreter skips intrinsics.
 //
-// A launch invokes hooks from a single goroutine, so implementations do not
-// need locking unless shared across devices. That holds for the parallel
-// block-sharded engine too: shard workers buffer callbacks and the reducer
-// replays them from one goroutine, in the exact serial (block, thread)
-// order. Implementations that never feed values back into the kernel
-// should declare it via HookObserver to become eligible for parallel
-// execution; anything else (e.g. a fault injector's Probe) forces the
-// serial path.
+// A launch with non-nil Hooks always runs on the serial engine: callbacks
+// arrive live, from the launching goroutine, in (block, thread) order, so
+// implementations do not need locking unless shared across devices, and a
+// Probe may feed a corrupted value straight back into the kernel. Only
+// hook-free launches are sharded across blocks (see sched.go).
 type Hooks interface {
 	// Probe is called at each FIProbe site with the current value of the
 	// target variable; it returns the (possibly corrupted) value and

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hauberk/internal/kir"
+	"hauberk/internal/obs"
 )
 
 // panicHooks is a deliberately faulty detector hook: RangeCheck panics the
@@ -22,13 +23,6 @@ func (h *panicHooks) RangeCheck(tc ThreadCtx, det int, val float64) {
 		panic("deliberate hook panic")
 	}
 }
-
-// purePanicHooks is panicHooks with the pure-observer capability, which
-// routes the launch through the parallel engine where the panic fires
-// during the reducer's buffered replay instead of inline execution.
-type purePanicHooks struct{ panicHooks }
-
-func (h *purePanicHooks) PureObserverHooks() bool { return true }
 
 // rangeCheckKernel is a minimal kernel that fires the RangeCheck hook once
 // per thread and stores a word, so a follow-up clean launch has an
@@ -72,37 +66,53 @@ func TestLaunchPanickingHookSerial(t *testing.T) {
 	}
 }
 
-func TestLaunchPanickingHookParallelReplay(t *testing.T) {
+// TestLaunchPanickingShardParallel pins the parallel engine's containment
+// boundary: a panic inside a shard goroutine (here an engine bug, simulated
+// by corrupting a register operand of the cached program) must surface as a
+// *PanicError of the launch, never kill the process, and leave the device
+// usable.
+func TestLaunchPanickingShardParallel(t *testing.T) {
 	forceBudget(t, 8)
 	k := rangeCheckKernel()
 	cfg := DefaultConfig()
-	cfg.Interpreter = InterpreterBytecode
 	cfg.LaunchWorkers = 4
-	cfg.Warp = WarpOff // pin the scalar parallel path; warp replay panics are covered in wexec_test.go
 	d := New(cfg)
 	buf := d.Alloc("out", kir.F32, 64)
-	hooks := &purePanicHooks{}
-	spec := LaunchSpec{Grid: 4, Block: 16, Args: []Arg{BufArg(buf)}, Hooks: hooks}
+	spec := LaunchSpec{Grid: 4, Block: 16, Args: []Arg{BufArg(buf)}}
 
-	// The panic must actually cross the parallel path, or this test
-	// silently degrades into a second copy of the serial one.
-	workers, extra, _, mode := d.launchPlan(nil, &spec)
-	ReleaseLaunchSlots(extra)
-	if mode != "parallel" || workers < 2 {
-		t.Fatalf("launch plan = %d workers, mode %q; want the parallel path", workers, mode)
+	p, _ := programFor(k, d.cfg)
+	pc := -1
+	for i := range p.insts {
+		if p.insts[i].op == opStore {
+			pc = i
+			break
+		}
 	}
-
+	if pc < 0 {
+		t.Fatal("kernel compiled without a store")
+	}
+	good := p.insts[pc]
+	p.insts[pc].a = int32(p.nslots + 1000) // out-of-range register read
+	tel := obs.New(nil)
+	spec.Obs = tel
 	_, err := d.Launch(k, spec)
+	p.insts[pc] = good
+	// The panic must actually cross the parallel path, or this test
+	// silently degrades into a copy of the serial containment test.
+	if modes := launchModes(t, tel); modes["parallel"] != 1 {
+		t.Fatalf("launch modes = %v, want one parallel launch", modes)
+	}
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("panicking pure-observer hook: got %v, want *PanicError", err)
+		t.Fatalf("panicking shard: got %v, want *PanicError", err)
 	}
-	if !strings.Contains(pe.Error(), "deliberate hook panic") {
-		t.Errorf("PanicError %q does not carry the panic value", pe.Error())
+	if pe.Stack == "" {
+		t.Errorf("PanicError is missing the stack trace")
 	}
 
-	// And again: contained, not fatal.
-	if _, err := d.Launch(k, LaunchSpec{Grid: 4, Block: 16, Args: []Arg{BufArg(buf)}, Hooks: &NopHooks{}}); err != nil {
-		t.Fatalf("device unusable after contained parallel panic: %v", err)
+	// Contained, not fatal: the restored program runs clean.
+	spec.Obs = nil
+	if _, err := d.Launch(k, spec); err != nil {
+		t.Fatalf("device unusable after contained shard panic: %v", err)
 	}
 }

@@ -1,12 +1,10 @@
 package gpu
 
 import (
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hauberk/internal/kir"
 )
@@ -15,7 +13,7 @@ import (
 // blocks across a worker pool and reduces the per-block results in
 // deterministic block order, so a parallel launch is bit-identical to the
 // serial bytecode engine — same outputs, same float64 cycle accumulation,
-// same hook call sequence, same crash/hang classification.
+// same crash/hang classification.
 //
 // The design leans on the CUDA execution model the simulator reproduces:
 // thread blocks are independent (no inter-block synchronization or
@@ -28,47 +26,14 @@ import (
 //  2. cycle accounting is *reduced* in serial (block, thread) order —
 //     float64 addition is not associative, so workers record per-thread
 //     samples and the reducer re-folds them exactly as the serial loop
-//     would,
-//  3. hook callbacks are buffered per block and replayed in block order
-//     after the shards complete, so checksum/range detectors observe the
-//     identical sequence (only hooks that declare themselves pure
-//     observers are eligible; a fault injector's Probe feeds values back
-//     into the kernel and forces the serial path), and
-//  4. the reported failure is the first failing (block, thread) in serial
+//     would, and
+//  3. the reported failure is the first failing (block, thread) in serial
 //     order, not the first in wall-clock order.
 //
-// Launches fall back to serial execution when a SetMemFault overlay is
-// installed (SWIFI semantics depend on serial evaluation order), when the
-// hooks may mutate kernel state, when the calibrated amortization model
-// predicts the launch is too small to amortize the fan-out (e.g. RPES
-// kernels run ~330 simulated cycles), or when the process-wide worker
-// budget is exhausted.
-
-// HookObserver is an optional capability interface for Hooks
-// implementations. A Hooks value that implements it and returns true
-// declares that it only observes the launch: Probe always returns
-// (val, false) and no callback feeds values back into the kernel. Only
-// pure-observer hooks are eligible for parallel block execution (their
-// callbacks are buffered per block and replayed in deterministic block
-// order after the shards complete); any other non-nil Hooks forces the
-// serial engine.
-type HookObserver interface {
-	PureObserverHooks() bool
-}
-
-// HooksArePure reports whether h is safe for buffered-and-replayed hook
-// delivery: nil hooks trivially are; otherwise h must declare the
-// capability itself. Unknown implementations are conservatively treated
-// as mutating.
-func HooksArePure(h Hooks) bool {
-	if h == nil {
-		return true
-	}
-	if o, ok := h.(HookObserver); ok {
-		return o.PureObserverHooks()
-	}
-	return false
-}
+// Only hook-free launches shard. Hook callbacks (detectors, profiler,
+// fault injector) run on the serial engine, where they are delivered live
+// in (block, thread) order; DESIGN.md §10 records the measurement behind
+// that rule.
 
 // --- process-wide worker budget -----------------------------------------
 
@@ -84,7 +49,6 @@ var launchSlots struct {
 
 func init() {
 	launchSlots.capacity.Store(int64(runtime.NumCPU() - 1))
-	shardAmortNs.Store(defaultShardAmortNs)
 }
 
 // SetLaunchBudget sets the process-wide number of extra worker slots
@@ -134,237 +98,49 @@ func ReleaseLaunchSlots(n int) {
 	}
 }
 
-// minParallelThreads is the bootstrap small-launch cutoff, used only for
-// the first launch of a program, before the adaptive model has a cycle
-// estimate: below it the fan-out (goroutine handoff, shard buffers,
-// ordered reduction) is not worth amortizing and the launch stays serial.
-// An explicit Config.LaunchWorkers > 1 bypasses the cutoff.
+// minParallelThreads is the small-launch cutoff of auto mode: below it the
+// fan-out (goroutine handoff, shard buffers, ordered reduction) is not
+// worth amortizing and the launch stays serial. An explicit
+// Config.LaunchWorkers > 1 bypasses the cutoff.
 const minParallelThreads = 256
 
-// --- calibrated amortization model ----------------------------------------
-//
-// The planner predicts a launch's serial wall time as
-//
-//	predictedNs = estCyclesPerThread × threads × nsPerCycle
-//
-// where estCyclesPerThread is a per-program EWMA of observed simulated
-// cycles (updated by every completed launch) and nsPerCycle is a
-// process-wide EWMA of the serial engine's measured speed (updated by
-// every completed serial launch). The launch fans out only when the
-// predicted time funds at least two shards of shardAmortNs each —
-// otherwise the buffer-and-replay reduction tax exceeds the win, which is
-// exactly the CP/SAD regression class of the fixed-cutoff planner.
-
-// shardAmortNs is the per-shard amortization target in nanoseconds: the
-// minimum predicted serial wall time one worker's share must cover for
-// fan-out to pay for the goroutine handoff, shard staging, and ordered
-// reduction. Variable (atomically) so tests can pin the model's decisions.
-var shardAmortNs atomic.Int64
-
-const defaultShardAmortNs = 100_000
-
-// defaultNsPerCycle seeds predictions before the first completed serial
-// launch calibrates the engine speed on the running host (a few ns per
-// simulated cycle on commodity hardware; the seed only matters until the
-// first measurement lands).
-const defaultNsPerCycle = 4.0
-
-// calibEWMAWeight is the weight of a new observation in the calibration
-// EWMAs: heavy enough to track workload changes within a few launches,
-// light enough to smooth scheduler noise.
-const calibEWMAWeight = 0.3
-
-// nsPerCycleBits holds the process-wide engine-speed EWMA as float64 bits
-// (0 = no serial launch measured yet).
-var nsPerCycleBits atomic.Uint64
-
-// warpNsPerCycleBits is the same EWMA for the warp-vectorized engine,
-// calibrated by completed single-worker warp launches. Keeping the two
-// engines' speeds in separate cells lets the planner compare them per
-// launch: warp wins on wide, convergent blocks and loses to scalar
-// dispatch on narrow or heavily divergent ones.
-var warpNsPerCycleBits atomic.Uint64
-
-// recordLaunchEstimate feeds one completed launch into the adaptive model:
-// the program's per-thread cycle EWMA always, and the engine-speed EWMA
-// when the caller measured wall time (parallel launches pass 0 — their
-// wall time does not reflect serial speed).
-func recordLaunchEstimate(p *program, threadCycles float64, threads int, elapsed time.Duration) {
-	if p == nil || threads <= 0 || threadCycles <= 0 {
-		return
-	}
-	ewmaStore(&p.estCycleBits, threadCycles/float64(threads))
-	if elapsed > 0 {
-		ewmaStore(&nsPerCycleBits, float64(elapsed.Nanoseconds())/threadCycles)
-	}
-}
-
-// recordWarpLaunchEstimate is recordLaunchEstimate for the warp engine:
-// the per-program cycle EWMA is shared (simulated cycles do not depend on
-// the engine), the speed observation lands in the warp cell.
-func recordWarpLaunchEstimate(p *program, threadCycles float64, threads int, elapsed time.Duration) {
-	if p == nil || threads <= 0 || threadCycles <= 0 {
-		return
-	}
-	ewmaStore(&p.estCycleBits, threadCycles/float64(threads))
-	if elapsed > 0 {
-		ewmaStore(&warpNsPerCycleBits, float64(elapsed.Nanoseconds())/threadCycles)
-	}
-}
-
-// ewmaStore folds one observation into a float64-bits EWMA cell (first
-// observation seeds it outright).
-func ewmaStore(bits *atomic.Uint64, obs float64) {
-	for {
-		old := bits.Load()
-		next := obs
-		if old != 0 {
-			prev := math.Float64frombits(old)
-			next = prev + calibEWMAWeight*(obs-prev)
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-// EngineNsPerCycle reports the calibrated serial-engine speed in
-// wall-clock nanoseconds per simulated thread-cycle, or 0 before any
-// serial launch has completed.
-func EngineNsPerCycle() float64 {
-	if b := nsPerCycleBits.Load(); b != 0 {
-		return math.Float64frombits(b)
-	}
-	return 0
-}
-
-// WarpNsPerCycle reports the calibrated warp-engine speed the same way,
-// or 0 before any single-worker warp launch has completed.
-func WarpNsPerCycle() float64 {
-	if b := warpNsPerCycleBits.Load(); b != 0 {
-		return math.Float64frombits(b)
-	}
-	return 0
-}
-
-// warpMinLanes is the narrowest block the auto planner vectorizes: below
-// it most of a warp's 32 lanes sit idle and the decode amortization cannot
-// pay for the struct-of-arrays staging. WarpOn bypasses the cutoff.
-const warpMinLanes = 8
-
-// warpPick decides whether a launch that is semantically eligible for
-// buffered hook delivery should run on the warp engine. In auto mode the
-// decision is calibrated: an uncalibrated engine pair optimistically runs
-// warp (the completed launch then measures it); once both EWMAs hold
-// observations the faster engine wins, so a workload that diverges too
-// hard for lockstep execution drifts back to scalar dispatch.
-func (d *Device) warpPick(spec *LaunchSpec) bool {
-	if d.fault != nil || !HooksArePure(spec.Hooks) {
-		// SWIFI overlays and mutating probes need live serial-order
-		// delivery; the warp engine buffers and replays.
-		return false
-	}
-	switch d.cfg.Warp {
-	case WarpOn:
-		return true
-	case WarpOff:
-		return false
-	}
-	if d.cfg.LaunchWorkers == 1 {
-		// An explicit serial config pins the scalar engine (benchmarks and
-		// differential baselines depend on it); only WarpOn overrides.
-		return false
-	}
-	if spec.Block < warpMinLanes {
-		return false
-	}
-	w, s := WarpNsPerCycle(), EngineNsPerCycle()
-	if w == 0 || s == 0 {
-		return true
-	}
-	return w < s
-}
-
 // launchPlan decides the execution strategy for one validated bytecode
-// launch. It returns the worker count (1 = serial), how many budget slots
-// were acquired (the caller must release them), whether the selected
-// engine is warp-vectorized, and the mode label for the
-// hauberk_launch_modes_total metric. p may be nil (no estimate).
-//
-// The warp and sharding decisions compose: a single-worker warp launch
-// reports mode "warp", a block-sharded one "warp-parallel" (each shard
-// then iterates warps instead of threads — see runBlockShardWarp).
-func (d *Device) launchPlan(p *program, spec *LaunchSpec) (workers, extra int, useWarp bool, mode string) {
-	useWarp = d.warpPick(spec)
-	serial := func(reason string) (int, int, bool, string) {
-		if useWarp {
-			return 1, 0, true, "warp"
-		}
-		return 1, 0, false, reason
-	}
+// launch with one static rule. It returns the worker count (1 = serial),
+// how many budget slots were acquired (the caller must release them), and
+// the mode label for the hauberk_launch_modes_total metric.
+func (d *Device) launchPlan(spec *LaunchSpec) (workers, extra int, mode string) {
 	switch {
 	case d.cfg.LaunchWorkers == 1:
-		return serial("serial-config")
+		return 1, 0, "serial-config"
 	case d.fault != nil:
 		// SetMemFault overlays model value-dependent intermittent faults;
 		// their observation order must match serial execution.
-		return 1, 0, false, "serial-fault"
-	case spec.Hooks != nil && !HooksArePure(spec.Hooks):
-		// A mutating Probe (fault injector) needs live, serial-order
-		// delivery; buffered replay cannot feed values back.
-		return 1, 0, false, "serial-hooks"
+		return 1, 0, "serial-fault"
+	case spec.Hooks != nil:
+		// Hook callbacks are delivered live, in serial order, on the
+		// calling goroutine.
+		return 1, 0, "serial-hooks"
 	case spec.Grid < 2:
-		return serial("serial-small")
+		return 1, 0, "serial-small"
 	}
 	req := d.cfg.LaunchWorkers
 	if req <= 0 {
-		// Auto mode: consult the amortization model. The first launch of
-		// a program has no estimate and falls back to the thread-count
-		// bootstrap cutoff; afterwards the model sizes the shard count so
-		// each shard covers at least shardAmortNs of predicted work,
-		// priced at the speed of the engine actually selected.
-		est := 0.0
-		if p != nil {
-			if b := p.estCycleBits.Load(); b != 0 {
-				est = math.Float64frombits(b)
-			}
+		if spec.Grid*spec.Block < minParallelThreads {
+			return 1, 0, "serial-small"
 		}
-		if est == 0 {
-			if spec.Grid*spec.Block < minParallelThreads {
-				return serial("serial-small")
-			}
-			req = LaunchBudget() + 1
-		} else {
-			nspc := defaultNsPerCycle
-			if useWarp {
-				if c := WarpNsPerCycle(); c != 0 {
-					nspc = c
-				}
-			} else if c := EngineNsPerCycle(); c != 0 {
-				nspc = c
-			}
-			predicted := est * float64(spec.Grid*spec.Block) * nspc
-			shards := int(predicted / float64(shardAmortNs.Load()))
-			if shards < 2 {
-				return serial("serial-amortize")
-			}
-			req = shards
-		}
+		req = LaunchBudget() + 1
 	}
 	if req > spec.Grid {
 		req = spec.Grid
 	}
 	if req <= 1 {
-		return serial("serial-budget")
+		return 1, 0, "serial-budget"
 	}
 	extra = AcquireLaunchSlots(req - 1)
 	if extra == 0 {
-		return serial("serial-budget")
+		return 1, 0, "serial-budget"
 	}
-	if useWarp {
-		return 1 + extra, extra, true, "warp-parallel"
-	}
-	return 1 + extra, extra, false, "parallel"
+	return 1 + extra, extra, "parallel"
 }
 
 // --- per-block shard state ------------------------------------------------
@@ -383,29 +159,25 @@ type blockRun struct {
 	samples []threadSample // per-thread, sub-slice of launchSched.samples
 	n       int            // threads actually executed (err stops the block)
 	err     error
-	rec     *hookRecorder // nil when the launch has no hooks
 }
 
 // launchSched is the scheduler state of one parallel launch: a flat
-// per-thread cycle-sample arena, per-block run records, and per-block
-// hook-recorder buffers. Instances recycle through schedPool so
-// steady-state parallel launches allocate O(workers), not O(blocks) — and
-// nothing at all once the pool is warm.
+// per-thread cycle-sample arena and per-block run records. Instances
+// recycle through schedPool so steady-state parallel launches allocate
+// O(workers), not O(blocks) — and nothing at all once the pool is warm.
 type launchSched struct {
 	samples []threadSample
 	runs    []blockRun
-	recs    []hookRecorder
 }
 
 // schedPool recycles launch-scheduler state across launches *and devices*:
 // SWIFI campaigns create a fresh Device per injection, so per-device
 // buffers would re-allocate every injection. The pool is process-wide and
-// the buffers (sample arena, run records, hook-event slices) keep their
-// capacity across uses.
+// the buffers (sample arena, run records) keep their capacity across uses.
 var schedPool = sync.Pool{New: func() any { return new(launchSched) }}
 
 // stage sizes the shard buffers for a grid×block launch.
-func (sc *launchSched) stage(grid, block int, record bool) {
+func (sc *launchSched) stage(grid, block int) {
 	need := grid * block
 	if cap(sc.samples) < need {
 		sc.samples = make([]threadSample, need)
@@ -415,38 +187,22 @@ func (sc *launchSched) stage(grid, block int, record bool) {
 		sc.runs = make([]blockRun, grid)
 	}
 	sc.runs = sc.runs[:grid]
-	if record {
-		if cap(sc.recs) < grid {
-			sc.recs = make([]hookRecorder, grid)
-		}
-		sc.recs = sc.recs[:grid]
-	}
 	for b := 0; b < grid; b++ {
 		br := &sc.runs[b]
 		br.samples = sc.samples[b*block : (b+1)*block]
 		br.n = 0
 		br.err = nil
-		br.rec = nil
-		if record {
-			rec := &sc.recs[b]
-			rec.events = rec.events[:0]
-			br.rec = rec
-		}
 	}
 }
 
 // launchParallel executes a validated launch by sharding blocks over
 // workers goroutines (including the calling one) and reducing the results
 // in deterministic block order. Eligibility was established by
-// launchPlan: no memory-fault overlay, pure-observer hooks only. With
-// useWarp each shard iterates its blocks warp by warp on the vectorized
-// engine; the recorded per-thread samples are identical either way, so
-// the reducer below is engine-agnostic.
-func (d *Device) launchParallel(k *kir.Kernel, spec LaunchSpec, p *program, workers int, useWarp bool) (*Result, error) {
+// launchPlan: no memory-fault overlay and no hooks.
+func (d *Device) launchParallel(k *kir.Kernel, spec LaunchSpec, p *program, workers int) (*Result, error) {
 	sc := schedPool.Get().(*launchSched)
 	defer schedPool.Put(sc)
-	record := spec.Hooks != nil
-	sc.stage(spec.Grid, spec.Block, record)
+	sc.stage(spec.Grid, spec.Block)
 
 	var (
 		nextBlk atomic.Int64
@@ -458,18 +214,6 @@ func (d *Device) launchParallel(k *kir.Kernel, spec LaunchSpec, p *program, work
 	failBlk.Store(int64(spec.Grid))
 
 	shard := func() {
-		if useWarp {
-			w := d.getWarpExec(k, p, &spec, true)
-			for {
-				blk := int(nextBlk.Add(1)) - 1
-				if blk >= spec.Grid || int64(blk) > failBlk.Load() {
-					break
-				}
-				d.runBlockShardWarp(w, blk, &sc.runs[blk], &failBlk)
-			}
-			putWarpExec(w)
-			return
-		}
 		t := bcThread{
 			d:      d,
 			p:      p,
@@ -491,7 +235,7 @@ func (d *Device) launchParallel(k *kir.Kernel, spec LaunchSpec, p *program, work
 		}
 		p.putRegs(regs)
 	}
-	// A panic in a shard (an engine or hook-recorder bug) must not kill
+	// A panic in a shard (an engine bug) must not kill
 	// the process — worker goroutines have no caller to recover them — and
 	// must not be reduced as a silently half-executed block either. The
 	// first panic is kept and the whole launch fails as a classified
@@ -524,8 +268,8 @@ func (d *Device) launchParallel(k *kir.Kernel, spec LaunchSpec, p *program, work
 
 	// Deterministic reduction: re-fold the recorded per-thread samples in
 	// the exact order (and with the exact float64 accumulator sequence)
-	// of the serial loop in launchBytecode, replaying buffered hook calls
-	// block by block, and stop at the first failing block.
+	// of the serial loop in launchBytecode, and stop at the first failing
+	// block.
 	res := &Result{Threads: spec.Grid * spec.Block, MaxLive: p.maxLive, Spill: p.spillExtra > 0}
 	warp := d.cfg.WarpSize
 	var sumWarpCycles, sumThreadCycles, sumLoopCycles float64
@@ -546,23 +290,17 @@ func (d *Device) launchParallel(k *kir.Kernel, spec LaunchSpec, p *program, work
 			res.Loads += s.loads
 			res.Stores += s.stores
 		}
-		if record {
-			br.rec.replay(spec.Hooks)
-		}
 		if br.err != nil {
 			finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
 			return res, br.err
 		}
 	}
-	// Keep the program's cycle estimate fresh (no wall-time sample: a
-	// parallel launch's elapsed time says nothing about serial speed).
-	recordLaunchEstimate(p, sumThreadCycles, res.Threads, 0)
 	finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
 	return res, nil
 }
 
 // runBlockShard executes every thread of one block serially on t,
-// recording per-thread samples and buffering hook callbacks. On the first
+// recording per-thread samples. On the first
 // thread error it lowers the shared minimum-failing-block watermark so
 // other workers stop claiming (and abandon) later blocks; blocks at or
 // below the watermark always complete, which is what the ordered reducer
@@ -571,9 +309,6 @@ func (d *Device) runBlockShard(t *bcThread, k *kir.Kernel, blk int, br *blockRun
 	spec := t.spec
 	p := t.p
 	regs := t.regs
-	if br.rec != nil {
-		t.hooks = br.rec
-	}
 	for tid := 0; tid < spec.Block; tid++ {
 		if int64(blk) > failBlk.Load() {
 			// An earlier block already failed; this block's results can
@@ -602,90 +337,6 @@ func (d *Device) runBlockShard(t *bcThread, k *kir.Kernel, blk int, br *blockRun
 				}
 			}
 			return
-		}
-	}
-}
-
-// --- buffered hook delivery ----------------------------------------------
-
-// hookKind discriminates recorded hook events.
-type hookKind uint8
-
-const (
-	hkProbe hookKind = iota
-	hkCountExec
-	hkRangeCheck
-	hkEqualCheck
-	hkProfileSample
-	hkSetSDC
-)
-
-// recEvent is one buffered hook callback with every argument the kernel
-// handed the runtime.
-type recEvent struct {
-	kind hookKind
-	tc   ThreadCtx
-	a    int // site or detector
-	hw   kir.HW
-	v    *kir.Var
-	val  uint32
-	f64  float64
-	i32a int32
-	i32b int32
-	dk   kir.DetectKind
-}
-
-// hookRecorder buffers a block shard's hook callbacks for in-order replay
-// by the reducer. Probe returns the value unchanged — eligibility for the
-// parallel engine requires pure-observer hooks (HooksArePure).
-type hookRecorder struct {
-	events []recEvent
-}
-
-var _ Hooks = (*hookRecorder)(nil)
-
-func (r *hookRecorder) Probe(tc ThreadCtx, site int, v *kir.Var, hw kir.HW, val uint32) (uint32, bool) {
-	r.events = append(r.events, recEvent{kind: hkProbe, tc: tc, a: site, v: v, hw: hw, val: val})
-	return val, false
-}
-
-func (r *hookRecorder) CountExec(tc ThreadCtx, site int) {
-	r.events = append(r.events, recEvent{kind: hkCountExec, tc: tc, a: site})
-}
-
-func (r *hookRecorder) RangeCheck(tc ThreadCtx, det int, val float64) {
-	r.events = append(r.events, recEvent{kind: hkRangeCheck, tc: tc, a: det, f64: val})
-}
-
-func (r *hookRecorder) EqualCheck(tc ThreadCtx, det int, count, expected int32) {
-	r.events = append(r.events, recEvent{kind: hkEqualCheck, tc: tc, a: det, i32a: count, i32b: expected})
-}
-
-func (r *hookRecorder) ProfileSample(tc ThreadCtx, det int, val float64) {
-	r.events = append(r.events, recEvent{kind: hkProfileSample, tc: tc, a: det, f64: val})
-}
-
-func (r *hookRecorder) SetSDC(tc ThreadCtx, det int, kind kir.DetectKind) {
-	r.events = append(r.events, recEvent{kind: hkSetSDC, tc: tc, a: det, dk: kind})
-}
-
-// replay delivers the buffered callbacks to h in recorded order.
-func (r *hookRecorder) replay(h Hooks) {
-	for i := range r.events {
-		e := &r.events[i]
-		switch e.kind {
-		case hkProbe:
-			h.Probe(e.tc, e.a, e.v, e.hw, e.val)
-		case hkCountExec:
-			h.CountExec(e.tc, e.a)
-		case hkRangeCheck:
-			h.RangeCheck(e.tc, e.a, e.f64)
-		case hkEqualCheck:
-			h.EqualCheck(e.tc, e.a, e.i32a, e.i32b)
-		case hkProfileSample:
-			h.ProfileSample(e.tc, e.a, e.f64)
-		case hkSetSDC:
-			h.SetSDC(e.tc, e.a, e.dk)
 		}
 	}
 }

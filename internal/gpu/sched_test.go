@@ -1,20 +1,16 @@
 package gpu
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"hauberk/internal/kir"
+	"hauberk/internal/obs"
+	"hauberk/internal/obs/promtext"
 )
-
-// pureRecHooks is bcRecHooks plus the pure-observer capability, which makes
-// recorded-hook launches eligible for the parallel block-sharded engine.
-type pureRecHooks struct{ bcRecHooks }
-
-func (h *pureRecHooks) PureObserverHooks() bool { return true }
 
 // forceBudget overrides the process-wide launch budget for one test (the
 // container the suite runs on may have a single CPU, where the default
@@ -26,10 +22,31 @@ func forceBudget(t *testing.T, n int) {
 	t.Cleanup(func() { SetLaunchBudget(old) })
 }
 
-// runSched executes one crafted kernel under the bytecode engine with the
-// given LaunchWorkers, fusion, and warp settings and returns every
-// observable.
-func runSched(t *testing.T, tc diffCase, launchWorkers int, nofuse bool, warp WarpMode) (res *Result, err error, arenas [][]uint32, log []string) {
+// launchModes returns the hauberk_launch_modes_total counts recorded in
+// tel, keyed by mode.
+func launchModes(t *testing.T, tel *obs.Telemetry) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tel.Metrics().WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := promtext.Parse(&buf)
+	if err != nil {
+		t.Fatalf("parse exposition: %v", err)
+	}
+	modes := map[string]float64{}
+	if f := exp.Family("hauberk_launch_modes_total"); f != nil {
+		for _, s := range f.Samples {
+			modes[s.Labels["mode"]] += s.Value
+		}
+	}
+	return modes
+}
+
+// runSched executes one crafted kernel, hook-free, under the bytecode
+// engine with the given LaunchWorkers and fusion settings and returns every
+// observable plus the launch mode the planner actually chose.
+func runSched(t *testing.T, tc diffCase, launchWorkers int, nofuse bool) (res *Result, err error, arenas [][]uint32, mode string) {
 	t.Helper()
 	b := kir.NewBuilder("sched")
 	tc.build(b)
@@ -38,72 +55,58 @@ func runSched(t *testing.T, tc diffCase, launchWorkers int, nofuse bool, warp Wa
 	cfg.Interpreter = InterpreterBytecode
 	cfg.LaunchWorkers = launchWorkers
 	cfg.DisableFusion = nofuse
-	cfg.Warp = warp
 	d := New(cfg)
 	if tc.setup == nil {
 		tc.setup = defaultDiffSetup
 	}
 	args := tc.setup(d, k)
-	hooks := &pureRecHooks{}
-	res, err = d.Launch(k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: args, Hooks: hooks})
+	tel := obs.New(nil)
+	res, err = d.Launch(k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: args, Obs: tel})
 	for _, buf := range d.Buffers() {
 		arenas = append(arenas, d.ReadWords(buf))
 	}
-	return res, err, arenas, hooks.log
+	modes := launchModes(t, tel)
+	if len(modes) != 1 {
+		t.Fatalf("one launch recorded launch modes %v, want exactly one", modes)
+	}
+	for m := range modes {
+		mode = m
+	}
+	return res, err, arenas, mode
 }
 
-// assertParallelPlan fails the test unless a launch shaped like tc would
-// actually take the scalar parallel path (and, with warp forced on, the
-// warp-parallel path) under the current budget.
-func assertParallelPlan(t *testing.T, tc diffCase, launchWorkers int) {
-	t.Helper()
-	cfg := tc.cfg
-	cfg.Interpreter = InterpreterBytecode
-	cfg.LaunchWorkers = launchWorkers
-	cfg.Warp = WarpOff
-	d := New(cfg)
-	spec := LaunchSpec{Grid: tc.grid, Block: tc.block, Hooks: &pureRecHooks{}}
-	workers, extra, useWarp, mode := d.launchPlan(nil, &spec)
-	ReleaseLaunchSlots(extra)
-	if mode != "parallel" || workers < 2 || useWarp {
-		t.Fatalf("launch plan = %d workers, mode %q; want the parallel path", workers, mode)
-	}
-	d.cfg.Warp = WarpOn
-	workers, extra, useWarp, mode = d.launchPlan(nil, &spec)
-	ReleaseLaunchSlots(extra)
-	if mode != "warp-parallel" || workers < 2 || !useWarp {
-		t.Fatalf("warp launch plan = %d workers, mode %q; want the warp-parallel path", workers, mode)
-	}
-}
-
-// diffSchedCase runs tc across the engine matrix — serial, parallel, warp,
-// and warp-parallel, fused and unfused — and requires bit-identical results
-// against the serial fused baseline. compareArenas is disabled for crash
+// diffSchedCase runs tc serial and parallel, fused and unfused, and requires
+// bit-identical results against the serial fused baseline. Every parallel
+// leg must really have run mode "parallel", so the suite can never decay
+// into comparing serial against serial. compareArenas is disabled for crash
 // cases: a parallel launch may have speculatively executed blocks after the
-// failing one (and a warp group speculatively executes lanes after a
-// failing one), so post-crash device memory is explicitly indeterminate
+// failing one, so post-crash device memory is explicitly indeterminate
 // (DESIGN.md §5); everything else — error classification and position,
-// cycle bits, memory traffic, hook sequence — must still match exactly.
+// cycle bits, memory traffic — must still match exactly.
 func diffSchedCase(t *testing.T, tc diffCase, launchWorkers int, compareArenas bool) {
 	t.Helper()
-	assertParallelPlan(t, tc, launchWorkers)
-	sRes, sErr, sArenas, sLog := runSched(t, tc, 1, false, WarpOff)
+	sRes, sErr, sArenas, sMode := runSched(t, tc, 1, false)
+	if sMode != "serial-config" {
+		t.Fatalf("serial baseline ran mode %q, want serial-config", sMode)
+	}
 	variants := []struct {
 		name    string
 		workers int
 		nofuse  bool
-		warp    WarpMode
 	}{
-		{"parallel-fused", launchWorkers, false, WarpOff},
-		{"serial-unfused", 1, true, WarpOff},
-		{"parallel-unfused", launchWorkers, true, WarpOff},
-		{"warp-fused", 1, false, WarpOn},
-		{"warp-unfused", 1, true, WarpOn},
-		{"warp-parallel-fused", launchWorkers, false, WarpOn},
-		{"warp-parallel-unfused", launchWorkers, true, WarpOn},
+		{"parallel-fused", launchWorkers, false},
+		{"serial-unfused", 1, true},
+		{"parallel-unfused", launchWorkers, true},
 	}
 	for _, v := range variants {
-		pRes, pErr, pArenas, pLog := runSched(t, tc, v.workers, v.nofuse, v.warp)
+		pRes, pErr, pArenas, pMode := runSched(t, tc, v.workers, v.nofuse)
+		want := "parallel"
+		if v.workers == 1 {
+			want = "serial-config"
+		}
+		if pMode != want {
+			t.Fatalf("%s ran mode %q, want %s", v.name, pMode, want)
+		}
 
 		if fmt.Sprint(sErr) != fmt.Sprint(pErr) {
 			t.Fatalf("error mismatch:\n  serial-fused: %v\n  %s: %v", sErr, v.name, pErr)
@@ -122,9 +125,6 @@ func diffSchedCase(t *testing.T, tc diffCase, launchWorkers int, compareArenas b
 		}
 		if compareArenas && !reflect.DeepEqual(sArenas, pArenas) {
 			t.Fatalf("buffer contents differ between serial-fused and %s runs", v.name)
-		}
-		if !reflect.DeepEqual(sLog, pLog) {
-			t.Fatalf("hook sequences differ:\n  serial-fused: %v\n  %s: %v", sLog, v.name, pLog)
 		}
 	}
 }
@@ -199,8 +199,11 @@ func TestParallelSerialIdentical(t *testing.T) {
 				f := b.Def("f", kir.XSqrt(kir.XAbs(kir.V(e))))
 				b.Store(out, kir.GlobalID(), kir.XAdd(kir.V(f), kir.XMin(kir.V(d), kir.V(e))))
 			}},
-		// Every intrinsic hook kind fires; the buffered recorders must
-		// replay the exact serial (block, thread) sequence.
+		// Every intrinsic kind is compiled in. With no hooks attached
+		// the callbacks are skipped, but the RangeCheck and SetSDC
+		// charges must still fold into the shard samples exactly.
+		// Hook-sequence identity is pinned on the serial engines by
+		// TestEnginesDiffSemantics.
 		"hook-replay": {cfg: DefaultConfig(), grid: 4, block: 16,
 			setup: bigDiffSetup(4, 16),
 			build: func(b *kir.Builder) {
@@ -232,8 +235,7 @@ func TestParallelSerialIdentical(t *testing.T) {
 // TestParallelCrashFirstInBlockOrder crafts a kernel where later blocks
 // crash at earlier threads (so wall-clock order and serial order disagree):
 // block b crashes at thread 24-8b. The reported failure must be the serial
-// one — block 0, thread 24 — with bit-identical partial cycle accounting
-// and the identical hook prefix.
+// one — block 0, thread 24 — with bit-identical partial cycle accounting.
 func TestParallelCrashFirstInBlockOrder(t *testing.T) {
 	forceBudget(t, 8)
 	tc := diffCase{cfg: DefaultConfig(), grid: 4, block: 32,
@@ -251,7 +253,7 @@ func TestParallelCrashFirstInBlockOrder(t *testing.T) {
 		}}
 	diffSchedCase(t, tc, 4, false)
 
-	_, err, _, _ := runSched(t, tc, 4, false, WarpOff)
+	_, err, _, _ := runSched(t, tc, 4, false)
 	ce, ok := err.(*CrashError)
 	if !ok {
 		t.Fatalf("want *CrashError, got %v", err)
@@ -282,7 +284,7 @@ func TestParallelHangMiddleBlock(t *testing.T) {
 		}}
 	diffSchedCase(t, tc, 3, false)
 
-	_, err, _, _ := runSched(t, tc, 3, false, WarpOff)
+	_, err, _, _ := runSched(t, tc, 3, false)
 	he, ok := err.(*HangError)
 	if !ok {
 		t.Fatalf("want *HangError, got %v", err)
@@ -292,63 +294,61 @@ func TestParallelHangMiddleBlock(t *testing.T) {
 	}
 }
 
-// TestLaunchPlanFallbacks pins every serial-fallback decision of the
-// scheduler.
+// TestLaunchPlanFallbacks pins the static planner rule: serial when
+// LaunchWorkers==1, a memory-fault overlay is set, hooks are attached, the
+// grid has one block, or an auto launch is below minParallelThreads;
+// otherwise the blocks shard over budget slots, capped by the grid.
 func TestLaunchPlanFallbacks(t *testing.T) {
 	forceBudget(t, 8)
-	pure := &pureRecHooks{}
-	base := LaunchSpec{Grid: 8, Block: 64, Hooks: pure}
-
-	plan := func(mutate func(d *Device, spec *LaunchSpec)) (int, string) {
-		cfg := DefaultConfig()
-		cfg.Warp = WarpOff // scalar-path pins; warp selection has its own test
-		d := New(cfg)
-		spec := base
-		if mutate != nil {
-			mutate(d, &spec)
-		}
-		workers, extra, _, mode := d.launchPlan(nil, &spec)
-		ReleaseLaunchSlots(extra)
-		return workers, mode
+	cases := []struct {
+		name          string
+		launchWorkers int
+		fault         bool
+		hooks         Hooks
+		grid, block   int
+		budget        int
+		wantMode      string
+		wantWorkers   int // 0: any count >= 2
+	}{
+		{name: "auto", grid: 8, block: 64, budget: 8, wantMode: "parallel"},
+		{name: "config", launchWorkers: 1, grid: 8, block: 64, budget: 8, wantMode: "serial-config", wantWorkers: 1},
+		{name: "fault", fault: true, grid: 8, block: 64, budget: 8, wantMode: "serial-fault", wantWorkers: 1},
+		{name: "hooks", hooks: &bcRecHooks{}, grid: 8, block: 64, budget: 8, wantMode: "serial-hooks", wantWorkers: 1},
+		{name: "nop-hooks", hooks: NopHooks{}, grid: 8, block: 64, budget: 8, wantMode: "serial-hooks", wantWorkers: 1},
+		{name: "hooks-explicit-workers", launchWorkers: 4, hooks: &bcRecHooks{}, grid: 8, block: 64, budget: 8, wantMode: "serial-hooks", wantWorkers: 1},
+		{name: "single-block", grid: 1, block: 512, budget: 8, wantMode: "serial-small", wantWorkers: 1},
+		{name: "below-cutoff", grid: 4, block: 8, budget: 8, wantMode: "serial-small", wantWorkers: 1},
+		// An explicit worker request bypasses the small-launch cutoff.
+		{name: "explicit-small", launchWorkers: 4, grid: 4, block: 8, budget: 8, wantMode: "parallel", wantWorkers: 4},
+		// Workers are capped by the grid: 2 blocks use at most 2 workers.
+		{name: "grid-cap", grid: 2, block: 256, budget: 8, wantMode: "parallel", wantWorkers: 2},
+		{name: "budget-cap", launchWorkers: 6, grid: 8, block: 64, budget: 2, wantMode: "parallel", wantWorkers: 3},
+		{name: "no-budget", grid: 8, block: 64, budget: 0, wantMode: "serial-budget", wantWorkers: 1},
 	}
-
-	if w, mode := plan(nil); mode != "parallel" || w < 2 {
-		t.Fatalf("eligible launch: workers=%d mode=%q, want parallel", w, mode)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			SetLaunchBudget(c.budget)
+			defer SetLaunchBudget(8)
+			cfg := DefaultConfig()
+			cfg.LaunchWorkers = c.launchWorkers
+			d := New(cfg)
+			if c.fault {
+				d.SetMemFault(func(_, v uint32) uint32 { return v })
+			}
+			spec := LaunchSpec{Grid: c.grid, Block: c.block, Hooks: c.hooks}
+			workers, extra, mode := d.launchPlan(&spec)
+			ReleaseLaunchSlots(extra)
+			if mode != c.wantMode {
+				t.Fatalf("mode = %q, want %q", mode, c.wantMode)
+			}
+			if extra != workers-1 {
+				t.Fatalf("workers = %d with %d extra slots; want workers = 1 + extra", workers, extra)
+			}
+			if c.wantWorkers == 0 && workers < 2 || c.wantWorkers != 0 && workers != c.wantWorkers {
+				t.Fatalf("workers = %d, want %d (0: at least 2)", workers, c.wantWorkers)
+			}
+		})
 	}
-	if _, mode := plan(func(d *Device, _ *LaunchSpec) { d.cfg.LaunchWorkers = 1 }); mode != "serial-config" {
-		t.Fatalf("LaunchWorkers=1: mode=%q, want serial-config", mode)
-	}
-	if _, mode := plan(func(d *Device, _ *LaunchSpec) {
-		d.SetMemFault(func(_, v uint32) uint32 { return v })
-	}); mode != "serial-fault" {
-		t.Fatalf("mem-fault overlay installed: mode=%q, want serial-fault", mode)
-	}
-	if _, mode := plan(func(_ *Device, spec *LaunchSpec) { spec.Hooks = &bcRecHooks{} }); mode != "serial-hooks" {
-		t.Fatalf("hooks without the pure-observer capability: mode=%q, want serial-hooks", mode)
-	}
-	if _, mode := plan(func(_ *Device, spec *LaunchSpec) { spec.Grid = 1; spec.Block = 512 }); mode != "serial-small" {
-		t.Fatalf("single-block grid: mode=%q, want serial-small", mode)
-	}
-	if _, mode := plan(func(_ *Device, spec *LaunchSpec) { spec.Grid = 4; spec.Block = 8 }); mode != "serial-small" {
-		t.Fatalf("launch below the thread cutoff: mode=%q, want serial-small", mode)
-	}
-	// An explicit worker request bypasses the small-launch cutoff.
-	if _, mode := plan(func(d *Device, spec *LaunchSpec) {
-		d.cfg.LaunchWorkers = 4
-		spec.Grid, spec.Block = 4, 8
-	}); mode != "parallel" {
-		t.Fatalf("explicit LaunchWorkers on a small launch: mode=%q, want parallel", mode)
-	}
-	// Workers are capped by the grid: 2 blocks can use at most 2 workers.
-	if w, mode := plan(func(_ *Device, spec *LaunchSpec) { spec.Grid = 2; spec.Block = 256 }); mode != "parallel" || w != 2 {
-		t.Fatalf("grid of 2: workers=%d mode=%q, want 2 parallel workers", w, mode)
-	}
-
-	SetLaunchBudget(0)
-	if _, mode := plan(nil); mode != "serial-budget" {
-		t.Fatalf("exhausted budget: mode=%q, want serial-budget", mode)
-	}
-	SetLaunchBudget(8)
 }
 
 // TestMemFaultLaunchStaysDeterministic runs a launch with a memory-fault
@@ -426,7 +426,6 @@ func launchAllocKernel(tb testing.TB, grid, block, launchWorkers int) (*Device, 
 	k := b.Kernel()
 	cfg := DefaultConfig()
 	cfg.LaunchWorkers = launchWorkers
-	cfg.Warp = WarpOff // scalar-engine pins; warp has its own alloc test
 	d := New(cfg)
 	buf := d.Alloc("out", kir.F32, grid*block)
 	return d, k, LaunchSpec{Grid: grid, Block: block, Args: []Arg{BufArg(buf)}}
@@ -484,124 +483,3 @@ func benchmarkLaunch(b *testing.B, launchWorkers int) {
 
 func BenchmarkLaunchSerial(b *testing.B)   { benchmarkLaunch(b, 1) }
 func BenchmarkLaunchParallel(b *testing.B) { benchmarkLaunch(b, 0) }
-
-// pinCalibration snapshots the process-wide adaptive-model state and
-// restores it when the test ends, so tests can set exact calibration values
-// without leaking them into the rest of the suite.
-func pinCalibration(t *testing.T) {
-	t.Helper()
-	savedNspc := nsPerCycleBits.Load()
-	savedWarp := warpNsPerCycleBits.Load()
-	savedAmort := shardAmortNs.Load()
-	t.Cleanup(func() {
-		nsPerCycleBits.Store(savedNspc)
-		warpNsPerCycleBits.Store(savedWarp)
-		shardAmortNs.Store(savedAmort)
-	})
-}
-
-// TestLaunchPlanAmortization pins the adaptive model's decisions with the
-// calibration state set explicitly: a launch whose predicted runtime cannot
-// fund two shards of shardAmortNs stays serial, and one that can goes
-// parallel with the shard-derived worker count, capped by the grid.
-func TestLaunchPlanAmortization(t *testing.T) {
-	forceBudget(t, 8)
-	pinCalibration(t)
-	nsPerCycleBits.Store(math.Float64bits(10)) // 10 ns per thread-cycle
-	shardAmortNs.Store(100_000)
-
-	cfg := DefaultConfig()
-	cfg.Warp = WarpOff // scalar amortization pins; the warp boundary has its own test
-	d := New(cfg)
-	spec := LaunchSpec{Grid: 8, Block: 64, Hooks: &pureRecHooks{}} // 512 threads
-	plan := func(est float64) (int, string) {
-		p := &program{}
-		p.estCycleBits.Store(math.Float64bits(est))
-		workers, extra, _, mode := d.launchPlan(p, &spec)
-		ReleaseLaunchSlots(extra)
-		return workers, mode
-	}
-
-	// 10 cycles/thread × 512 threads × 10 ns = 51.2 µs predicted: under
-	// two 100 µs shards, the buffer-and-replay tax is not amortized.
-	if w, mode := plan(10); mode != "serial-amortize" || w != 1 {
-		t.Fatalf("cheap launch: workers=%d mode=%q, want 1/serial-amortize", w, mode)
-	}
-	// 100 cycles/thread × 512 × 10 ns = 512 µs: five 100 µs shards.
-	if w, mode := plan(100); mode != "parallel" || w != 5 {
-		t.Fatalf("expensive launch: workers=%d mode=%q, want 5 parallel workers", w, mode)
-	}
-	// A huge estimate is still capped by the grid.
-	if w, mode := plan(1e6); mode != "parallel" || w != 8 {
-		t.Fatalf("huge launch: workers=%d mode=%q, want grid-capped 8 workers", w, mode)
-	}
-}
-
-// TestRecordLaunchEstimate pins the EWMA calibration mechanics: the first
-// observation seeds the cell exactly, later ones blend at calibEWMAWeight,
-// and only launches with a measured wall time feed the engine-speed cell.
-func TestRecordLaunchEstimate(t *testing.T) {
-	pinCalibration(t)
-	nsPerCycleBits.Store(0)
-	p := &program{}
-
-	recordLaunchEstimate(p, 6400, 64, 0)
-	if got := math.Float64frombits(p.estCycleBits.Load()); got != 100 {
-		t.Fatalf("first observation: est = %v, want exact seed 100", got)
-	}
-	if nsPerCycleBits.Load() != 0 {
-		t.Fatalf("zero-elapsed launch updated the engine-speed EWMA")
-	}
-
-	recordLaunchEstimate(p, 12800, 64, 0) // obs 200
-	want := (1-calibEWMAWeight)*100 + calibEWMAWeight*200
-	if got := math.Float64frombits(p.estCycleBits.Load()); got != want {
-		t.Fatalf("second observation: est = %v, want EWMA blend %v", got, want)
-	}
-
-	recordLaunchEstimate(p, 1000, 1, 5*time.Microsecond)
-	if got := EngineNsPerCycle(); got != 5 {
-		t.Fatalf("measured launch: ns/cycle = %v, want exact seed 5", got)
-	}
-}
-
-// TestSubThresholdLaunchSkipsReplayTax pins the regression class that
-// motivated the amortization model (CP- and SAD-shaped workloads): once the
-// model knows a program is too cheap to shard, auto-mode launches go serial
-// — the plan reports serial-amortize and a warm launch pays only the serial
-// allocation budget, never the shard-buffer-and-replay tax.
-func TestSubThresholdLaunchSkipsReplayTax(t *testing.T) {
-	forceBudget(t, 8)
-	pinCalibration(t)
-
-	d, k, spec := launchAllocKernel(t, 8, 64, 0) // auto mode, 512 threads
-	for i := 0; i < 3; i++ {                     // warm cache, pools, and the estimate
-		if _, err := d.Launch(k, spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p, hit := programFor(k, d.cfg)
-	if !hit {
-		t.Fatal("program not cached after warm launches")
-	}
-	if p.estCycleBits.Load() == 0 {
-		t.Fatal("warm launches recorded no cycle estimate")
-	}
-	// Pin the amortization target far above anything this kernel can
-	// predict, so the decision is host-speed independent.
-	shardAmortNs.Store(1_000_000_000_000)
-
-	workers, extra, _, mode := d.launchPlan(p, &spec)
-	ReleaseLaunchSlots(extra)
-	if workers != 1 || mode != "serial-amortize" {
-		t.Fatalf("sub-threshold warm plan: workers=%d mode=%q, want 1/serial-amortize", workers, mode)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := d.Launch(k, spec); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 4 {
-		t.Fatalf("sub-threshold auto launch allocates %.1f objects/launch, want <= 4 (pure serial path)", allocs)
-	}
-}

@@ -16,13 +16,13 @@ import (
 // mode compares ns/op directly (same host, e.g. a CI runner diffing against
 // its own previous run), while ratios-only mode compares only the
 // machine-independent speedup ratios (tree→bytecode, fused→unfused,
-// serial→parallel, serial→warp), which is the honest comparison when the
+// serial→parallel), which is the honest comparison when the
 // baseline was recorded on different hardware.
 
 // BenchEngineStats is one engine's measurement for one workload, mirroring
 // the per-engine objects of BENCH_perf.json. DegradedHost marks a
 // measurement taken on a host that cannot exercise the engine honestly
-// (the parallel and warp rows on a single-core machine): the number is
+// (the parallel row on a single-core machine): the number is
 // recorded for completeness but regression gates skip it.
 type BenchEngineStats struct {
 	NsPerOp      int64   `json:"ns_per_op"`
@@ -30,9 +30,8 @@ type BenchEngineStats struct {
 	DegradedHost bool    `json:"degraded_host,omitempty"`
 }
 
-// BenchWorkload is one workload row of BENCH_perf.json. Unfused and Warp
-// are pointers because reports written before those engines existed lack
-// them.
+// BenchWorkload is one workload row of BENCH_perf.json. Unfused is a
+// pointer because reports written before fusion existed lack it.
 type BenchWorkload struct {
 	Program         string            `json:"program"`
 	Cycles          float64           `json:"gpu_cycles"`
@@ -40,11 +39,9 @@ type BenchWorkload struct {
 	Bytecode        BenchEngineStats  `json:"bytecode"`
 	Unfused         *BenchEngineStats `json:"unfused,omitempty"`
 	Parallel        BenchEngineStats  `json:"parallel"`
-	Warp            *BenchEngineStats `json:"warp,omitempty"`
 	Speedup         float64           `json:"speedup"`
 	FusionSpeedup   float64           `json:"fusion_speedup,omitempty"`
 	ParallelSpeedup float64           `json:"parallel_speedup"`
-	WarpSpeedup     float64           `json:"warp_speedup,omitempty"`
 }
 
 // BenchReport is the full BENCH_perf.json document.
@@ -56,7 +53,6 @@ type BenchReport struct {
 	GeomeanSpeedup         float64         `json:"geomean_speedup"`
 	GeomeanFusionSpeedup   float64         `json:"geomean_fusion_speedup,omitempty"`
 	GeomeanParallelSpeedup float64         `json:"geomean_parallel_speedup"`
-	GeomeanWarpSpeedup     float64         `json:"geomean_warp_speedup,omitempty"`
 }
 
 // LoadBenchReport reads and validates one BENCH_perf.json document.
@@ -88,9 +84,7 @@ type BenchDiffOptions struct {
 	// MinCores, when positive, marks the new report as parallel-degraded
 	// if it was recorded on fewer host cores: the parallel engine falls
 	// back to serial there, so its rows and the serial->parallel ratio are
-	// skipped (reported, never gated) instead of failing the diff. The
-	// single-worker warp rows remain gated — decode amortization is real
-	// on one core.
+	// skipped (reported, never gated) instead of failing the diff.
 	MinCores int
 }
 
@@ -150,13 +144,11 @@ func engineStats(w *BenchWorkload, engine string) *BenchEngineStats {
 		return w.Unfused
 	case "parallel":
 		return &w.Parallel
-	case "warp":
-		return w.Warp
 	}
 	return nil
 }
 
-var benchEngineOrder = []string{"tree", "bytecode", "unfused", "parallel", "warp"}
+var benchEngineOrder = []string{"tree", "bytecode", "unfused", "parallel"}
 
 // DiffBenchReports compares two benchmark reports under opts. It returns an
 // error only for structural problems (no common workloads); performance
@@ -241,7 +233,6 @@ func DiffBenchReports(oldR, newR *BenchReport, opts BenchDiffOptions) (*BenchDif
 		{"tree->bytecode", oldR.GeomeanSpeedup, newR.GeomeanSpeedup, false},
 		{"unfused->fused", oldR.GeomeanFusionSpeedup, newR.GeomeanFusionSpeedup, false},
 		{"serial->parallel", oldR.GeomeanParallelSpeedup, newR.GeomeanParallelSpeedup, parallelDegraded},
-		{"serial->warp", oldR.GeomeanWarpSpeedup, newR.GeomeanWarpSpeedup, false},
 	}
 	for _, r := range ratios {
 		if r.old <= 0 || r.new <= 0 {

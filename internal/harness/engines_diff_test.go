@@ -83,36 +83,12 @@ func runEngine(t *testing.T, interp gpu.Interpreter, nofuse bool, k *kir.Kernel,
 	return engineRun{res: res, err: err, output: inst.ReadOutput(), events: hooks.events}
 }
 
-// runWarpEngine launches through the warp-vectorized dispatcher: WarpOn
-// forces lane-vectorized execution, LaunchWorkers=1 pins the single-worker
-// warp driver, and the hooks must declare pure observation or warpPick
-// degrades the launch back to scalar serial.
-func runWarpEngine(t *testing.T, nofuse bool, k *kir.Kernel, spec *workloads.Spec) engineRun {
-	t.Helper()
-	cfg := gpu.DefaultConfig()
-	cfg.Interpreter = gpu.InterpreterBytecode
-	cfg.DisableFusion = nofuse
-	cfg.Warp = gpu.WarpOn
-	cfg.LaunchWorkers = 1
-	d := gpu.New(cfg)
-	inst := spec.Setup(d, workloads.Dataset{Index: 0})
-	hooks := &pureDiffHooks{}
-	res, err := d.Launch(k, gpu.LaunchSpec{
-		Grid:  inst.Grid,
-		Block: inst.Block,
-		Args:  inst.Args,
-		Hooks: hooks,
-	})
-	return engineRun{res: res, err: err, output: inst.ReadOutput(), events: hooks.events}
-}
-
 // TestEnginesBitIdentical is the bytecode engine's differential oracle: for
 // every evaluation workload (7 HPC + 2 graphics), original and under every
 // translator instrumentation mode, the fused bytecode engine, the unfused
-// bytecode stream, the tree-walker, and the warp-vectorized dispatcher must
-// agree bit-for-bit on outputs, total/loop/non-loop cycle counts, memory
-// traffic, the complete detector/FI hook call sequence, and the crash/hang
-// classification.
+// bytecode stream, and the tree-walker must agree bit-for-bit on outputs,
+// total/loop/non-loop cycle counts, memory traffic, the complete
+// detector/FI hook call sequence, and the crash/hang classification.
 func TestEnginesBitIdentical(t *testing.T) {
 	specs := append(workloads.HPC(), workloads.Graphics()...)
 	modes := []translate.Mode{
@@ -138,13 +114,9 @@ func TestEnginesBitIdentical(t *testing.T) {
 				bc := runEngine(t, gpu.InterpreterBytecode, false, k, spec)
 				un := runEngine(t, gpu.InterpreterBytecode, true, k, spec)
 				tw := runEngine(t, gpu.InterpreterTree, false, k, spec)
-				wp := runWarpEngine(t, false, k, spec)
-				wu := runWarpEngine(t, true, k, spec)
 
 				compareRuns(t, bc, un)
 				compareRuns(t, bc, tw)
-				compareRuns(t, bc, wp)
-				compareRuns(t, bc, wu)
 			})
 		}
 	}

@@ -37,13 +37,11 @@ fi
 "$work/hauberk-report" -campaign "$work/resumed" >"$work/resumed.txt"
 diff "$work/ref.txt" "$work/resumed.txt"
 
-# Warp-engine leg: the same campaign through the warp-vectorized
-# dispatcher must produce byte-identical figure aggregates (injection
-# launches degrade to scalar serial by design — mutating probes need live
-# delivery — while golden and profiling launches vectorize).
-"$work/hauberk-run" -program CP -campaign-dir "$work/warp" -engine warp >/dev/null
-"$work/hauberk-report" -campaign "$work/warp" >"$work/warp.txt"
-diff "$work/ref.txt" "$work/warp.txt"
+# Tree-engine leg: the same campaign through the tree-walking oracle must
+# produce byte-identical figure aggregates.
+"$work/hauberk-run" -program CP -campaign-dir "$work/tree" -engine tree >/dev/null
+"$work/hauberk-report" -campaign "$work/tree" >"$work/tree.txt"
+diff "$work/ref.txt" "$work/tree.txt"
 
 # Shard the same campaign 2 ways and merge.
 "$work/hauberk-run" -program CP -campaign-dir "$work/sharded" -shard 0/2 >/dev/null
@@ -51,4 +49,4 @@ diff "$work/ref.txt" "$work/warp.txt"
 "$work/hauberk-report" -campaign "$work/sharded" >"$work/sharded.txt"
 diff "$work/ref.txt" "$work/sharded.txt"
 
-echo "campaign smoke: resume and shard-merge reports are byte-identical to the uninterrupted run"
+echo "campaign smoke: resume, tree-engine and shard-merge reports are byte-identical to the uninterrupted run"
