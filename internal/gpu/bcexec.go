@@ -37,9 +37,10 @@ func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error)
 		return d.launchParallel(k, spec, p, workers)
 	}
 
-	res := &Result{Threads: spec.Grid * spec.Block, MaxLive: p.maxLive, Spill: p.spillExtra > 0}
+	lo, hi := spec.bounds()
+	res := &Result{Threads: hi - lo, MaxLive: p.maxLive, Spill: p.spillExtra > 0}
 	warp := d.cfg.WarpSize
-	var sumWarpCycles, sumThreadCycles, sumLoopCycles float64
+	var sumWarpCycles, sumThreadCycles, sumLoopCycles, warpMax float64
 
 	// One pooled register file for the whole launch: variable slots are
 	// cleared per thread, the constant pool is loaded at slice creation
@@ -61,39 +62,41 @@ func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error)
 	// In GPU mode any address below the virtual limit is a valid access, so
 	// the dispatch loop can skip the (non-inlinable) checkAccess call on the
 	// fast path. CPU mode keeps the limit at zero: every access goes through
-	// the full page-map check.
-	if d.cfg.Mode == ModeGPU {
+	// the full page-map check, and so does every access of a watched
+	// launch, which is where the access watch observes it.
+	if d.cfg.Mode == ModeGPU && d.watch == nil {
 		t.fastLimit = VirtualWords
 	}
 
-	for blk := 0; blk < spec.Grid; blk++ {
-		var warpMax float64
-		for tid := 0; tid < spec.Block; tid++ {
-			clear(regs[:p.nv])
-			for i, par := range k.Params {
-				if par.Type == kir.Ptr {
-					regs[par.ID] = spec.Args[i].Buf.Off
-				} else {
-					regs[par.ID] = spec.Args[i].Scalar
-				}
+	blk, tid := lo/spec.Block, lo%spec.Block
+	for g := lo; g < hi; g++ {
+		clear(regs[:p.nv])
+		for i, par := range k.Params {
+			if par.Type == kir.Ptr {
+				regs[par.ID] = spec.Args[i].Buf.Off
+			} else {
+				regs[par.ID] = spec.Args[i].Scalar
 			}
-			t.tc = ThreadCtx{Block: blk, Thread: tid}
-			err := t.run()
-			sumThreadCycles += t.cycles
-			sumLoopCycles += t.loopCycles
-			if t.cycles > warpMax {
-				warpMax = t.cycles
-			}
-			if (tid+1)%warp == 0 || tid == spec.Block-1 {
-				sumWarpCycles += warpMax
-				warpMax = 0
-			}
-			res.Loads += t.loads
-			res.Stores += t.stores
-			if err != nil {
-				finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
-				return res, err
-			}
+		}
+		t.tc = ThreadCtx{Block: blk, Thread: tid}
+		err := t.run()
+		sumThreadCycles += t.cycles
+		sumLoopCycles += t.loopCycles
+		if t.cycles > warpMax {
+			warpMax = t.cycles
+		}
+		if (tid+1)%warp == 0 || tid == spec.Block-1 || g == hi-1 {
+			sumWarpCycles += warpMax
+			warpMax = 0
+		}
+		res.Loads += t.loads
+		res.Stores += t.stores
+		if err != nil {
+			finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
+			return res, err
+		}
+		if tid++; tid == spec.Block {
+			blk, tid = blk+1, 0
 		}
 	}
 	finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
@@ -202,7 +205,7 @@ loop:
 		case opLoad:
 			addr := regs[in.b] + regs[in.c]
 			if addr >= fastLimit {
-				if reason := d.checkAccess(addr); reason != "" {
+				if reason := d.checkAccess(addr, false); reason != "" {
 					err = t.crash("load: " + reason)
 					break loop
 				}
@@ -226,7 +229,7 @@ loop:
 		case opStore:
 			addr := regs[in.a] + regs[in.b]
 			if addr >= fastLimit {
-				if reason := d.checkAccess(addr); reason != "" {
+				if reason := d.checkAccess(addr, true); reason != "" {
 					err = t.crash("store: " + reason)
 					break loop
 				}
@@ -583,7 +586,7 @@ loop:
 			}
 			addr := regs[in.b] + idx
 			if addr >= fastLimit {
-				if reason := d.checkAccess(addr); reason != "" {
+				if reason := d.checkAccess(addr, false); reason != "" {
 					err = t.crash("load: " + reason)
 					break loop
 				}
@@ -605,7 +608,7 @@ loop:
 		case opLoadOpF:
 			addr := regs[in.b] + regs[in.c]
 			if addr >= fastLimit {
-				if reason := d.checkAccess(addr); reason != "" {
+				if reason := d.checkAccess(addr, false); reason != "" {
 					err = t.crash("load: " + reason)
 					break loop
 				}

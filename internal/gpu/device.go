@@ -136,6 +136,9 @@ type Device struct {
 	// fault is an optional memory-fault overlay used to emulate
 	// intermittent memory faults (Section II, Figure 3); see SetMemFault.
 	fault func(addr uint32, val uint32) uint32
+
+	// watch is an optional access observer; see SetAccessWatch.
+	watch func(addr uint32, store bool)
 }
 
 // New creates a device with the given configuration.
@@ -189,9 +192,26 @@ func (d *Device) ArenaWords() int { return len(d.arena) }
 // (Section II.A, Figure 3b).
 func (d *Device) SetMemFault(f func(addr, val uint32) uint32) { d.fault = f }
 
+// HasMemFault reports whether a memory-fault overlay is installed.
+func (d *Device) HasMemFault() bool { return d.fault != nil }
+
+// SetAccessWatch installs an observer called before every global-memory
+// load (store=false) and store (store=true) of the kernels launched on
+// the device, with the accessed word address; nil clears it. The watch
+// sees every access the kernel attempts, including one that then crashes
+// the kernel, on both engines. A watched launch runs serially, and the
+// bytecode engine routes each access through its checked slow path, so
+// the watch costs nothing when unset. Fault-local replay uses it to
+// record which words each thread reads and writes.
+func (d *Device) SetAccessWatch(f func(addr uint32, store bool)) { d.watch = f }
+
 // checkAccess validates an address for the configured mode. It returns a
-// non-empty reason when the access must crash the kernel.
-func (d *Device) checkAccess(addr uint32) string {
+// non-empty reason when the access must crash the kernel. It is also
+// where an installed access watch observes the access.
+func (d *Device) checkAccess(addr uint32, store bool) string {
+	if d.watch != nil {
+		d.watch(addr, store)
+	}
 	if d.cfg.Mode == ModeCPU {
 		if int(addr) >= len(d.arena) {
 			return fmt.Sprintf("segmentation fault: address %#x outside process memory", addr)
@@ -227,6 +247,14 @@ func (d *Device) storeWord(addr, val uint32) {
 }
 
 // --- host <-> device transfer helpers ------------------------------------
+
+// ReadWord returns the word at an arena address with the kernels' GPU
+// semantics: an address beyond the physical arena reads zero.
+func (d *Device) ReadWord(addr uint32) uint32 { return d.loadWord(addr) }
+
+// WriteWord stores one word at an arena address; a write beyond the
+// physical arena has no effect, as for the kernels.
+func (d *Device) WriteWord(addr, val uint32) { d.storeWord(addr, val) }
 
 // WriteF32 copies float data into a buffer starting at element off.
 func (d *Device) WriteF32(b *Buffer, off int, src []float32) {

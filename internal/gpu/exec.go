@@ -39,6 +39,27 @@ type LaunchSpec struct {
 	// registry. nil or a disabled telemetry adds nothing to the hot
 	// path.
 	Obs *obs.Telemetry
+	// Threads, when non-zero, runs only the global thread indices
+	// [Threads.Lo, Threads.Hi) of the Grid×Block space, serially in
+	// (block, thread) order, on whatever device memory and hook state
+	// the caller staged. Threads run to completion one at a time and
+	// Sync only charges cycles, so a full serial launch equals the
+	// concatenation of its range launches (outputs, hook sequence,
+	// failure attribution); fault-local replay uses that to run only a
+	// faulted thread. A partial range never shards.
+	Threads ThreadRange
+}
+
+// ThreadRange is a half-open run [Lo, Hi) of global thread indices
+// (block*Block + thread). The zero value selects the whole grid.
+type ThreadRange struct{ Lo, Hi int }
+
+// bounds resolves the launch's thread range against its grid.
+func (s *LaunchSpec) bounds() (lo, hi int) {
+	if s.Threads == (ThreadRange{}) {
+		return 0, s.Grid * s.Block
+	}
+	return s.Threads.Lo, s.Threads.Hi
 }
 
 // Result reports the outcome of a launch.
@@ -128,6 +149,11 @@ func (d *Device) launch(k *kir.Kernel, spec LaunchSpec) (res *Result, err error)
 	if spec.Grid <= 0 || spec.Block <= 0 {
 		return &Result{}, &LaunchError{Reason: "grid and block must be positive"}
 	}
+	if r := spec.Threads; r != (ThreadRange{}) && (r.Lo < 0 || r.Lo >= r.Hi || r.Hi > spec.Grid*spec.Block) {
+		return &Result{}, &LaunchError{
+			Reason: fmt.Sprintf("thread range [%d, %d) outside the %d-thread grid", r.Lo, r.Hi, spec.Grid*spec.Block),
+		}
+	}
 	if len(spec.Args) != len(k.Params) {
 		return &Result{}, &LaunchError{
 			Reason: fmt.Sprintf("kernel %s wants %d args, got %d", k.Name, len(k.Params), len(spec.Args)),
@@ -162,41 +188,43 @@ func (d *Device) launchTree(k *kir.Kernel, spec LaunchSpec) (*Result, error) {
 		ex.spillExtra = d.cfg.Costs.SpillPenalty * frac
 	}
 
-	res := &Result{Threads: spec.Grid * spec.Block, MaxLive: an.MaxLive, Spill: ex.spillExtra > 0}
+	lo, hi := spec.bounds()
+	res := &Result{Threads: hi - lo, MaxLive: an.MaxLive, Spill: ex.spillExtra > 0}
 	warp := d.cfg.WarpSize
-	var sumWarpCycles, sumThreadCycles, sumLoopCycles float64
+	var sumWarpCycles, sumThreadCycles, sumLoopCycles, warpMax float64
 
-	for blk := 0; blk < spec.Grid; blk++ {
-		var warpMax float64
-		for tid := 0; tid < spec.Block; tid++ {
-			t := &thread{
-				ex:   ex,
-				tc:   ThreadCtx{Block: blk, Thread: tid},
-				regs: make([]uint32, k.NumVars()),
+	blk, tid := lo/spec.Block, lo%spec.Block
+	for g := lo; g < hi; g++ {
+		t := &thread{
+			ex:   ex,
+			tc:   ThreadCtx{Block: blk, Thread: tid},
+			regs: make([]uint32, k.NumVars()),
+		}
+		for i, p := range k.Params {
+			if p.Type == kir.Ptr {
+				t.regs[p.ID] = spec.Args[i].Buf.Off
+			} else {
+				t.regs[p.ID] = spec.Args[i].Scalar
 			}
-			for i, p := range k.Params {
-				if p.Type == kir.Ptr {
-					t.regs[p.ID] = spec.Args[i].Buf.Off
-				} else {
-					t.regs[p.ID] = spec.Args[i].Scalar
-				}
-			}
-			err := t.block(k.Body, 0)
-			sumThreadCycles += t.cycles
-			sumLoopCycles += t.loopCycles
-			if t.cycles > warpMax {
-				warpMax = t.cycles
-			}
-			if (tid+1)%warp == 0 || tid == spec.Block-1 {
-				sumWarpCycles += warpMax
-				warpMax = 0
-			}
-			res.Loads += t.loads
-			res.Stores += t.stores
-			if err != nil {
-				finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
-				return res, err
-			}
+		}
+		err := t.block(k.Body, 0)
+		sumThreadCycles += t.cycles
+		sumLoopCycles += t.loopCycles
+		if t.cycles > warpMax {
+			warpMax = t.cycles
+		}
+		if (tid+1)%warp == 0 || tid == spec.Block-1 || g == hi-1 {
+			sumWarpCycles += warpMax
+			warpMax = 0
+		}
+		res.Loads += t.loads
+		res.Stores += t.stores
+		if err != nil {
+			finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
+			return res, err
+		}
+		if tid++; tid == spec.Block {
+			blk, tid = blk+1, 0
 		}
 	}
 	finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
@@ -304,7 +332,7 @@ func (t *thread) stmt(s kir.Stmt, depth int) error {
 			return err
 		}
 		addr := t.readReg(n.Base) + idx
-		if reason := t.ex.d.checkAccess(addr); reason != "" {
+		if reason := t.ex.d.checkAccess(addr, true); reason != "" {
 			return t.crash("store: %s", reason)
 		}
 		t.charge(c.Mem)
@@ -496,7 +524,7 @@ func (t *thread) eval(e kir.Expr) (uint32, error) {
 			return 0, err
 		}
 		addr := t.readReg(n.Base) + idx
-		if reason := t.ex.d.checkAccess(addr); reason != "" {
+		if reason := t.ex.d.checkAccess(addr, false); reason != "" {
 			return 0, t.crash("load: %s", reason)
 		}
 		t.charge(c.Mem)

@@ -116,6 +116,13 @@ func (d *Device) launchPlan(spec *LaunchSpec) (workers, extra int, mode string) 
 		// SetMemFault overlays model value-dependent intermittent faults;
 		// their observation order must match serial execution.
 		return 1, 0, "serial-fault"
+	case d.watch != nil:
+		// An access watch observes accesses in serial order.
+		return 1, 0, "serial-watch"
+	case spec.Threads != (ThreadRange{}):
+		// A partial range continues a launch from staged state; its
+		// threads run in order, after everything before them.
+		return 1, 0, "serial-range"
 	case spec.Hooks != nil:
 		// Hook callbacks are delivered live, in serial order, on the
 		// calling goroutine.

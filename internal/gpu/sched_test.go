@@ -146,9 +146,22 @@ func bigDiffSetup(grid, block int) func(d *Device, k *kir.Kernel) []Arg {
 
 func TestParallelSerialIdentical(t *testing.T) {
 	forceBudget(t, 8)
+	for name, tc := range adversarialCases() {
+		t.Run(name, func(t *testing.T) {
+			// Workers intentionally exceed the grid on some cases: the
+			// plan must cap at the grid size.
+			diffSchedCase(t, tc, 4, true)
+		})
+	}
+}
+
+// adversarialCases are the multi-block kernels the launch differentials
+// share: warp-straddling blocks, uneven block runtimes, spill charges and
+// every intrinsic kind.
+func adversarialCases() map[string]diffCase {
 	spillCfg := DefaultConfig()
 	spillCfg.RegsPerThread = 4
-	cases := map[string]diffCase{
+	return map[string]diffCase{
 		// Loops, FP accumulation, and one store per thread across 512
 		// threads: the bread-and-butter shape of the benchmark kernels.
 		"compute": {cfg: DefaultConfig(), grid: 8, block: 64,
@@ -223,13 +236,6 @@ func TestParallelSerialIdentical(t *testing.T) {
 				b.Store(out, kir.GlobalID(), kir.V(acc))
 			}},
 	}
-	for name, tc := range cases {
-		t.Run(name, func(t *testing.T) {
-			// Workers intentionally exceed the grid on some cases: the
-			// plan must cap at the grid size.
-			diffSchedCase(t, tc, 4, true)
-		})
-	}
 }
 
 // TestParallelCrashFirstInBlockOrder crafts a kernel where later blocks
@@ -238,19 +244,7 @@ func TestParallelSerialIdentical(t *testing.T) {
 // one — block 0, thread 24 — with bit-identical partial cycle accounting.
 func TestParallelCrashFirstInBlockOrder(t *testing.T) {
 	forceBudget(t, 8)
-	tc := diffCase{cfg: DefaultConfig(), grid: 4, block: 32,
-		setup: bigDiffSetup(4, 32),
-		build: func(b *kir.Builder) {
-			out := b.PtrParam("out", kir.I32)
-			acc := b.Def("acc", kir.F(0))
-			b.For("i", kir.I(0), kir.I(4), func(i *kir.Var) {
-				b.Accum(acc, kir.ToF32(kir.XAdd(kir.V(i), kir.TID())))
-			})
-			b.Emit(kir.CountExec{Site: 0})
-			div := b.Def("div", kir.XSub(kir.TID(), kir.XSub(kir.I(24), kir.XMul(kir.I(8), kir.BID()))))
-			v := b.Def("v", kir.XDiv(kir.I(100), kir.V(div)))
-			b.Store(out, kir.GlobalID(), kir.V(v))
-		}}
+	tc := crashOrderCase()
 	diffSchedCase(t, tc, 4, false)
 
 	_, err, _, _ := runSched(t, tc, 4, false)
@@ -263,25 +257,28 @@ func TestParallelCrashFirstInBlockOrder(t *testing.T) {
 	}
 }
 
+// crashOrderCase crashes block b at thread 24-8b.
+func crashOrderCase() diffCase {
+	return diffCase{cfg: DefaultConfig(), grid: 4, block: 32,
+		setup: bigDiffSetup(4, 32),
+		build: func(b *kir.Builder) {
+			out := b.PtrParam("out", kir.I32)
+			acc := b.Def("acc", kir.F(0))
+			b.For("i", kir.I(0), kir.I(4), func(i *kir.Var) {
+				b.Accum(acc, kir.ToF32(kir.XAdd(kir.V(i), kir.TID())))
+			})
+			b.Emit(kir.CountExec{Site: 0})
+			div := b.Def("div", kir.XSub(kir.TID(), kir.XSub(kir.I(24), kir.XMul(kir.I(8), kir.BID()))))
+			v := b.Def("v", kir.XDiv(kir.I(100), kir.V(div)))
+			b.Store(out, kir.GlobalID(), kir.V(v))
+		}}
+}
+
 // TestParallelHangMiddleBlock hangs one thread of a middle block against a
 // tiny step budget; classification and position must match serial.
 func TestParallelHangMiddleBlock(t *testing.T) {
 	forceBudget(t, 8)
-	cfg := DefaultConfig()
-	cfg.StepBudget = 300
-	tc := diffCase{cfg: cfg, grid: 4, block: 16,
-		setup: bigDiffSetup(4, 16),
-		build: func(b *kir.Builder) {
-			out := b.PtrParam("out", kir.I32)
-			n := b.Def("n", kir.I(0))
-			b.If(kir.XLAnd(kir.XEq(kir.BID(), kir.I(2)), kir.XEq(kir.TID(), kir.I(5))), func() {
-				b.Set(n, kir.I(1))
-			}, nil)
-			b.While(kir.XGt(kir.V(n), kir.I(0)), func() {
-				b.Set(n, kir.XAdd(kir.V(n), kir.I(1)))
-			})
-			b.Store(out, kir.GlobalID(), kir.V(n))
-		}}
+	tc := hangMiddleCase()
 	diffSchedCase(t, tc, 3, false)
 
 	_, err, _, _ := runSched(t, tc, 3, false)
@@ -294,9 +291,29 @@ func TestParallelHangMiddleBlock(t *testing.T) {
 	}
 }
 
+// hangMiddleCase hangs block 2 thread 5 against a 300-step budget.
+func hangMiddleCase() diffCase {
+	cfg := DefaultConfig()
+	cfg.StepBudget = 300
+	return diffCase{cfg: cfg, grid: 4, block: 16,
+		setup: bigDiffSetup(4, 16),
+		build: func(b *kir.Builder) {
+			out := b.PtrParam("out", kir.I32)
+			n := b.Def("n", kir.I(0))
+			b.If(kir.XLAnd(kir.XEq(kir.BID(), kir.I(2)), kir.XEq(kir.TID(), kir.I(5))), func() {
+				b.Set(n, kir.I(1))
+			}, nil)
+			b.While(kir.XGt(kir.V(n), kir.I(0)), func() {
+				b.Set(n, kir.XAdd(kir.V(n), kir.I(1)))
+			})
+			b.Store(out, kir.GlobalID(), kir.V(n))
+		}}
+}
+
 // TestLaunchPlanFallbacks pins the static planner rule: serial when
-// LaunchWorkers==1, a memory-fault overlay is set, hooks are attached, the
-// grid has one block, or an auto launch is below minParallelThreads;
+// LaunchWorkers==1, a memory-fault overlay or access watch is set, the
+// launch runs an explicit thread range, hooks are attached, the grid has
+// one block, or an auto launch is below minParallelThreads;
 // otherwise the blocks shard over budget slots, capped by the grid.
 func TestLaunchPlanFallbacks(t *testing.T) {
 	forceBudget(t, 8)
@@ -304,6 +321,8 @@ func TestLaunchPlanFallbacks(t *testing.T) {
 		name          string
 		launchWorkers int
 		fault         bool
+		watch         bool
+		threads       ThreadRange
 		hooks         Hooks
 		grid, block   int
 		budget        int
@@ -313,6 +332,10 @@ func TestLaunchPlanFallbacks(t *testing.T) {
 		{name: "auto", grid: 8, block: 64, budget: 8, wantMode: "parallel"},
 		{name: "config", launchWorkers: 1, grid: 8, block: 64, budget: 8, wantMode: "serial-config", wantWorkers: 1},
 		{name: "fault", fault: true, grid: 8, block: 64, budget: 8, wantMode: "serial-fault", wantWorkers: 1},
+		{name: "watch", watch: true, grid: 8, block: 64, budget: 8, wantMode: "serial-watch", wantWorkers: 1},
+		// A partial range never shards, hooks or not.
+		{name: "partial-range", threads: ThreadRange{Lo: 70, Hi: 400}, grid: 8, block: 64, budget: 8, wantMode: "serial-range", wantWorkers: 1},
+		{name: "partial-range-explicit-workers", launchWorkers: 4, threads: ThreadRange{Lo: 0, Hi: 256}, grid: 8, block: 64, budget: 8, wantMode: "serial-range", wantWorkers: 1},
 		{name: "hooks", hooks: &bcRecHooks{}, grid: 8, block: 64, budget: 8, wantMode: "serial-hooks", wantWorkers: 1},
 		{name: "nop-hooks", hooks: NopHooks{}, grid: 8, block: 64, budget: 8, wantMode: "serial-hooks", wantWorkers: 1},
 		{name: "hooks-explicit-workers", launchWorkers: 4, hooks: &bcRecHooks{}, grid: 8, block: 64, budget: 8, wantMode: "serial-hooks", wantWorkers: 1},
@@ -335,7 +358,10 @@ func TestLaunchPlanFallbacks(t *testing.T) {
 			if c.fault {
 				d.SetMemFault(func(_, v uint32) uint32 { return v })
 			}
-			spec := LaunchSpec{Grid: c.grid, Block: c.block, Hooks: c.hooks}
+			if c.watch {
+				d.SetAccessWatch(func(uint32, bool) {})
+			}
+			spec := LaunchSpec{Grid: c.grid, Block: c.block, Hooks: c.hooks, Threads: c.threads}
 			workers, extra, mode := d.launchPlan(&spec)
 			ReleaseLaunchSlots(extra)
 			if mode != c.wantMode {

@@ -228,11 +228,12 @@ func (cr *CampaignResult) FigureDigest() string {
 	return sb.String()
 }
 
-// RunCampaign executes a full injection campaign for one program. With
-// an enabled e.Obs it journals campaign.start, a campaign.progress event
-// roughly every tenth of the plan, and a campaign.done event with the
-// aggregated coverage; per-outcome tallies feed the
-// hauberk_injection_outcomes_total counter family.
+// RunCampaign executes a full injection campaign for one program, each
+// injection through fault-local replay (replay.go). With an enabled e.Obs
+// it journals campaign.start, a campaign.progress event roughly every
+// tenth of the plan, and a campaign.done event with the aggregated
+// coverage; per-outcome tallies feed the hauberk_injection_outcomes_total
+// counter family.
 func (e *Env) RunCampaign(
 	spec *workloads.Spec,
 	golden *GoldenRun,
@@ -245,6 +246,10 @@ func (e *Env) RunCampaign(
 		ByBits:  make(map[int]*Tally),
 		ByClass: make(map[kir.DataClass]*Tally),
 		Results: make([]InjectionResult, len(plan)),
+	}
+	tab, err := e.recordReplay(spec, golden, store, mode)
+	if err != nil {
+		return nil, err
 	}
 	workers, extraWorkers := e.acquireCampaignWorkers()
 	defer gpu.ReleaseLaunchSlots(extraWorkers)
@@ -273,7 +278,7 @@ func (e *Env) RunCampaign(
 			defer wg.Done()
 			defer func() { <-sem }()
 			r, err := containPanic(plan[i], func() (*InjectionResult, error) {
-				return e.RunInjection(spec, golden, store, mode, plan[i])
+				return e.replayInjection(tab, plan[i])
 			})
 			mu.Lock()
 			defer mu.Unlock()

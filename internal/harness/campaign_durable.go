@@ -253,6 +253,13 @@ func (e *Env) RunCampaignDurable(
 			return nil, err
 		}
 	}
+	// The fault-local replay table lives only for this call.
+	var tab *replayTable
+	if len(pending) > 0 {
+		if tab, err = e.recordReplay(spec, golden, rstore, mode); err != nil {
+			return nil, fmt.Errorf("harness: clean recording run of %s: %w", spec.Name, err)
+		}
+	}
 
 	workers, extraWorkers := e.acquireCampaignWorkers()
 	var pool *isoPool
@@ -288,9 +295,9 @@ func (e *Env) RunCampaignDurable(
 			var r *InjectionResult
 			var err error
 			if pool != nil {
-				r, err = e.runInjectionIsolated(ctx, pool, spec, golden, rstore, mode, plan[idx], timeout, opts)
+				r, err = e.runInjectionIsolated(ctx, pool, tab, plan[idx], timeout, opts)
 			} else {
-				r, err = e.runInjectionGuarded(ctx, spec, golden, rstore, mode, plan[idx], timeout, opts)
+				r, err = e.runInjectionGuarded(ctx, tab, plan[idx], timeout, opts)
 			}
 			mu.Lock()
 			defer mu.Unlock()
@@ -405,14 +412,12 @@ func (e *Env) deriveWatchdogTimeout(
 // exponential back-off up to opts.Retries times.
 func (e *Env) runInjectionGuarded(
 	ctx context.Context,
-	spec *workloads.Spec,
-	golden *GoldenRun,
-	rstore *ranges.Store,
-	mode translate.Mode,
+	tab *replayTable,
 	inj Injection,
 	timeout time.Duration,
 	opts CampaignOptions,
 ) (*InjectionResult, error) {
+	spec := tab.spec
 	g := guard{
 		timeout: timeout,
 		retries: opts.Retries,
@@ -437,9 +442,22 @@ func (e *Env) runInjectionGuarded(
 			}
 		},
 	}
-	return g.run(ctx, inj, func() (*InjectionResult, error) {
-		return e.RunInjection(spec, golden, rstore, mode, inj)
+	// Only the attempt g.run accepts is counted in hauberk_replay_total:
+	// attempts run one after another, and path/reason are set before the
+	// accepted attempt hands its result over. A run the watchdog abandons
+	// finishes later and a cancelled one is never recorded; neither counts.
+	var path, reason string
+	r, err := g.run(ctx, inj, func() (*InjectionResult, error) {
+		r, p, why, err := tab.run(e, inj)
+		if err == nil {
+			path, reason = p, why
+		}
+		return r, err
 	})
+	if err == nil && !r.TimedOut {
+		e.countReplay(path, reason)
+	}
+	return r, err
 }
 
 // guard is the watchdog-and-retry envelope around one injection run,

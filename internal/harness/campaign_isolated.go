@@ -57,6 +57,11 @@ type isoResponse struct {
 	Outcome   int  `json:"outcome"`
 	Hang      bool `json:"hang"`
 	Activated bool `json:"activated"`
+	// Path/Reason name the fault-local replay path the worker took, so
+	// the campaign process counts hauberk_replay_total as in-process
+	// runs do.
+	Path   string `json:"path,omitempty"`
+	Reason string `json:"reason,omitempty"`
 }
 
 // WorkerMain is the body of `hauberk-run -worker`: serve injection
@@ -74,6 +79,9 @@ func WorkerMain(in io.Reader, out io.Writer) error {
 		spec   *workloads.Spec
 		golden *GoldenRun
 		rstore *ranges.Store
+		// tabs holds the replay table per instrumentation mode, recorded
+		// on the first request that needs it.
+		tabs map[translate.Mode]*replayTable
 	}
 	cache := make(map[string]*staged)
 	h := func(id string, payload json.RawMessage) (json.RawMessage, error) {
@@ -103,11 +111,22 @@ func WorkerMain(in io.Reader, out io.Writer) error {
 			if err != nil {
 				return nil, err
 			}
-			st = &staged{env: env, spec: spec, golden: golden, rstore: prof.Store}
+			st = &staged{env: env, spec: spec, golden: golden, rstore: prof.Store,
+				tabs: make(map[translate.Mode]*replayTable)}
 			cache[key] = st
 		}
+		mode := translate.Mode(req.Mode)
+		tab := st.tabs[mode]
+		if tab == nil {
+			t, err := st.env.recordReplay(st.spec, st.golden, st.rstore, mode)
+			if err != nil {
+				return nil, err
+			}
+			tab = t
+			st.tabs[mode] = tab
+		}
 		inj := Injection{Cmd: req.Cmd.command(), Bits: req.Bits, Class: kir.DataClass(req.Class)}
-		r, err := st.env.RunInjection(st.spec, st.golden, st.rstore, translate.Mode(req.Mode), inj)
+		r, path, reason, err := tab.run(st.env, inj)
 		if err != nil {
 			return nil, err
 		}
@@ -115,6 +134,8 @@ func WorkerMain(in io.Reader, out io.Writer) error {
 			Outcome:   int(r.Outcome),
 			Hang:      r.Hang,
 			Activated: r.Activated,
+			Path:      path,
+			Reason:    reason,
 		})
 	}
 	return procexec.Serve(in, out, h, procexec.ServeOptions{Chaos: plan})
@@ -191,10 +212,7 @@ func (p *isoPool) Close() {
 func (e *Env) runInjectionIsolated(
 	ctx context.Context,
 	pool *isoPool,
-	spec *workloads.Spec,
-	golden *GoldenRun,
-	rstore *ranges.Store,
-	mode translate.Mode,
+	tab *replayTable,
 	inj Injection,
 	timeout time.Duration,
 	opts CampaignOptions,
@@ -202,10 +220,11 @@ func (e *Env) runInjectionIsolated(
 	sup := <-pool.sups
 	defer func() { pool.sups <- sup }()
 
+	spec := tab.spec
 	req := isoRequest{
 		Program: spec.Name,
-		Dataset: golden.Dataset.Index,
-		Mode:    int(mode),
+		Dataset: tab.golden.Dataset.Index,
+		Mode:    int(tab.mode),
 		Engine:  int(e.Config.Interpreter),
 		Cmd:     wireCommand(inj.Cmd),
 		Bits:    inj.Bits,
@@ -222,6 +241,7 @@ func (e *Env) runInjectionIsolated(
 		if err := json.Unmarshal(resp, &out); err != nil {
 			return nil, fmt.Errorf("harness: worker response for %s: %w", inj.Cmd.Key(), err)
 		}
+		e.countReplay(out.Path, out.Reason)
 		return &InjectionResult{
 			Injection: inj,
 			Outcome:   Outcome(out.Outcome),
@@ -239,7 +259,7 @@ func (e *Env) runInjectionIsolated(
 				obs.Str("reason", err.Error()))
 			e.Obs.Metrics().Counter("hauberk_worker_spawn_fallbacks_total").Inc()
 		}
-		return e.runInjectionGuarded(ctx, spec, golden, rstore, mode, inj, timeout, opts)
+		return e.runInjectionGuarded(ctx, tab, inj, timeout, opts)
 
 	default:
 		var crash *guardian.WorkerCrashError

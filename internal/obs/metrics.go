@@ -279,7 +279,10 @@ func (h *Histogram) write(sb *strings.Builder, family, labelStr string) {
 	cum += h.buckets[len(h.bounds)].Load()
 	fmt.Fprintf(sb, "%s_bucket%s %d\n", family, withLe("+Inf"), cum)
 	fmt.Fprintf(sb, "%s_sum%s %s\n", family, labelStr, formatProm(h.Sum()))
-	fmt.Fprintf(sb, "%s_count%s %d\n", family, labelStr, h.count.Load())
+	// _count is the +Inf bucket's cumulative count as read above: reading
+	// h.count again would let an Observe landing between the two reads
+	// expose a _count that disagrees with the +Inf bucket.
+	fmt.Fprintf(sb, "%s_count%s %d\n", family, labelStr, cum)
 }
 
 func formatProm(v float64) string {

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"hauberk/internal/obs"
@@ -106,5 +107,41 @@ func TestPromExpositionDeterministic(t *testing.T) {
 	}
 	if strings.Index(first, "hauberk_a_total") > strings.Index(first, "hauberk_z_total") {
 		t.Fatalf("families not sorted:\n%s", first)
+	}
+}
+
+// TestPromExpositionConcurrentHistogram scrapes a histogram while it is
+// being observed: every exposition must pass the parser's histogram
+// invariants (_count equal to the +Inf bucket), as a live /metrics scrape
+// during a campaign requires.
+func TestPromExpositionConcurrentHistogram(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := reg.Histogram("hauberk_test_ms", []float64{1, 10})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Observe(float64(i % 20))
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 2000; i++ {
+		var sb strings.Builder
+		if err := reg.WriteProm(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := promtext.Parse(strings.NewReader(sb.String())); err != nil {
+			t.Fatalf("scrape %d: %v", i, err)
+		}
 	}
 }

@@ -101,10 +101,17 @@ type Injector struct {
 }
 
 // Arm loads a command.
-func (inj *Injector) Arm(cmd Command) {
+func (inj *Injector) Arm(cmd Command) { inj.ArmAt(cmd, 0) }
+
+// ArmAt loads a command into an injector that resumes a run in which the
+// command's site already executed `executed` times: the next probe of the
+// site is instance `executed`, and Executions keeps counting globally.
+// Fault-local replay arms the faulted thread this way with the clean
+// run's probe count before that thread.
+func (inj *Injector) ArmAt(cmd Command, executed int64) {
 	inj.Cmd = cmd
 	inj.Armed = true
-	inj.count = 0
+	inj.count = executed
 	inj.Injected = false
 }
 

@@ -112,6 +112,55 @@ func TestInjectorPersistent(t *testing.T) {
 	}
 }
 
+// TestArmAtMatchesFedPrefix pins ArmAt: an injector seeded with an
+// executed count behaves, probe for probe, like an Arm-ed injector that
+// was first fed that many probes — including Count>1 and Persistent
+// spans that straddle the seed point — and Executions stays global.
+func TestArmAtMatchesFedPrefix(t *testing.T) {
+	v := &kir.Var{Name: "x", Type: kir.F32}
+	cmds := []Command{
+		{Site: 0, Instance: 4, Mask: 0x10},
+		{Site: 0, Instance: 2, Count: 5, Mask: 0x3},                 // span 2..6
+		{Site: 0, Instance: 3, Persistent: true, Mask: 0x80},        // 3 onward
+		{Site: 0, Instance: 0, Count: 2, Mask: 1},                   // span ends before most seeds
+		{Site: 0, Instance: 9, Count: 3, Persistent: true, Mask: 2}, // past the probes
+	}
+	const total = 10
+	for _, cmd := range cmds {
+		ref := &Injector{}
+		ref.Arm(cmd)
+		want := probeN(ref, v, total)
+		for seed := int64(0); seed <= total; seed++ {
+			fed := &Injector{}
+			fed.Arm(cmd)
+			probeN(fed, v, int(seed))
+			seeded := &Injector{}
+			seeded.ArmAt(cmd, seed)
+			gotFed := probeN(fed, v, total-int(seed))
+			gotSeeded := probeN(seeded, v, total-int(seed))
+			for i := range gotSeeded {
+				if gotSeeded[i] != gotFed[i] || gotSeeded[i] != want[int(seed)+i] {
+					t.Fatalf("%v seed %d: instance %d got %#x, fed %#x, unseeded %#x",
+						cmd, seed, int(seed)+i, gotSeeded[i], gotFed[i], want[int(seed)+i])
+				}
+			}
+			if seeded.Executions() != total || fed.Executions() != total {
+				t.Fatalf("%v seed %d: executions seeded %d fed %d, want the global %d",
+					cmd, seed, seeded.Executions(), fed.Executions(), total)
+			}
+			// A seeded injector only sees the probes after the seed, so
+			// it records an injection exactly when one fell there.
+			wantInjected := false
+			for i := int(seed); i < total; i++ {
+				wantInjected = wantInjected || want[i] != 100
+			}
+			if seeded.Injected != wantInjected {
+				t.Fatalf("%v seed %d: Injected = %v, want %v", cmd, seed, seeded.Injected, wantInjected)
+			}
+		}
+	}
+}
+
 func TestUnarmedInjectorInert(t *testing.T) {
 	v := &kir.Var{Name: "x", Type: kir.I32}
 	inj := &Injector{}

@@ -13,8 +13,16 @@ go build -o "$work/hauberk-run" ./cmd/hauberk-run
 go build -o "$work/hauberk-report" ./cmd/hauberk-report
 
 # Uninterrupted reference run.
-"$work/hauberk-run" -program CP -campaign-dir "$work/ref" >/dev/null
+"$work/hauberk-run" -program CP -campaign-dir "$work/ref" -metrics "$work/ref.prom" >/dev/null
 "$work/hauberk-report" -campaign "$work/ref" >"$work/ref.txt"
+
+# Fault-local replay must carry the campaign: a regression to full
+# re-execution of every injection leaves no path="local" count.
+local=$(awk '/^hauberk_replay_total\{/ && /path="local"/ { n += $NF } END { print n + 0 }' "$work/ref.prom")
+if [ "$local" -le 0 ]; then
+  echo "campaign smoke: no injection took fault-local replay (hauberk_replay_total{path=\"local\"} is $local)" >&2
+  exit 1
+fi
 
 # Kill mid-run: -campaign-abort-after interrupts through the same
 # cancellation path as SIGINT/SIGTERM; exit 7 means "resumable".
