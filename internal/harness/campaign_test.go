@@ -3,9 +3,7 @@ package harness
 import (
 	"testing"
 
-	"hauberk/internal/core/translate"
 	"hauberk/internal/kir"
-	"hauberk/internal/workloads"
 )
 
 func TestFig14CoverageShape(t *testing.T) {
@@ -13,24 +11,15 @@ func TestFig14CoverageShape(t *testing.T) {
 		t.Skip("campaign is slow")
 	}
 	e := NewEnv(QuickScale())
-	ds := workloads.Dataset{Index: 0}
+	crs, err := e.coverageCampaigns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTable(t, "fig14", fig14Table(crs))
 	var all Tally
-	for _, spec := range workloads.HPC() {
-		golden, err := e.Golden(spec, ds)
-		if err != nil {
-			t.Fatalf("%s golden: %v", spec.Name, err)
-		}
-		prof, err := e.Profile(spec, []workloads.Dataset{ds})
-		if err != nil {
-			t.Fatalf("%s profile: %v", spec.Name, err)
-		}
-		plan := e.PlanCampaign(spec, prof, e.Scale.BitCounts)
-		cr, err := e.RunCampaign(spec, golden, prof.Store, translate.ModeFIFT, plan)
-		if err != nil {
-			t.Fatalf("%s campaign: %v", spec.Name, err)
-		}
+	for _, cr := range crs {
 		t.Logf("%-8s n=%4d failure=%4.1f%% masked=%4.1f%% det&mask=%4.1f%% detected=%4.1f%% undetected=%4.1f%% coverage=%4.1f%% hangs=%d",
-			spec.Name, cr.All.Total(),
+			cr.Spec.Name, cr.All.Total(),
 			100*cr.All.Frac(OutcomeFailure), 100*cr.All.Frac(OutcomeMasked),
 			100*cr.All.Frac(OutcomeDetectedMasked), 100*cr.All.Frac(OutcomeDetected),
 			100*cr.All.Frac(OutcomeUndetected), 100*cr.All.Coverage(), cr.Hangs)
@@ -53,18 +42,16 @@ func TestFig01SensitivityShape(t *testing.T) {
 		t.Skip("campaign is slow")
 	}
 	e := NewEnv(QuickScale())
-	hpc, err := e.Sensitivity("GPU HPC", workloads.HPC(), false)
-	if err != nil {
-		t.Fatalf("hpc sensitivity: %v", err)
+	var res []*SensitivityResult
+	for _, g := range fig01Groups() {
+		r, err := e.Sensitivity(g.name, g.specs, g.cpu)
+		if err != nil {
+			t.Fatalf("%s sensitivity: %v", g.name, err)
+		}
+		res = append(res, r)
 	}
-	gfx, err := e.Sensitivity("GPU graphics", workloads.Graphics(), false)
-	if err != nil {
-		t.Fatalf("graphics sensitivity: %v", err)
-	}
-	cpu, err := e.Sensitivity("CPU", []*workloads.Spec{workloads.CPURef()}, true)
-	if err != nil {
-		t.Fatalf("cpu sensitivity: %v", err)
-	}
+	checkTable(t, "fig01", fig01Table(res))
+	hpc, gfx, cpu := res[0], res[1], res[2]
 	for _, c := range []kir.DataClass{kir.ClassPointer, kir.ClassInteger, kir.ClassFloat} {
 		t.Logf("HPC %-8s sdc=%5.1f%% failure=%5.1f%%  | graphics sdc=%5.1f%% | cpu sdc=%5.1f%% failure=%5.1f%%",
 			c, 100*hpc.SDCRatio(c), 100*hpc.FailureRatio(c),

@@ -16,6 +16,35 @@ import (
 // Fig01 reproduces Figure 1: error sensitivity by program type and data
 // class under single-bit injections.
 func Fig01(e *Env) (*Table, error) {
+	var res []*SensitivityResult
+	for _, g := range fig01Groups() {
+		r, err := e.Sensitivity(g.name, g.specs, g.cpu)
+		if err != nil {
+			return nil, err
+		}
+		res = append(res, r)
+	}
+	return fig01Table(res), nil
+}
+
+// fig01Group is one program group of Figure 1; cpu runs its programs on
+// page-protected devices.
+type fig01Group struct {
+	name  string
+	specs []*workloads.Spec
+	cpu   bool
+}
+
+func fig01Groups() []fig01Group {
+	return []fig01Group{
+		{"GPU HPC", workloads.HPC(), false},
+		{"GPU graphics", workloads.Graphics(), false},
+		{"CPU programs", []*workloads.Spec{workloads.CPURef()}, true},
+	}
+}
+
+// fig01Table renders the Figure 1 rows of the groups' sensitivity results.
+func fig01Table(res []*SensitivityResult) *Table {
 	t := &Table{
 		Title:  "Figure 1: error sensitivity (single-bit faults)",
 		Header: []string{"program type", "data class", "crash/hang %", "SDC %", "not manifested %", "runs"},
@@ -23,33 +52,20 @@ func Fig01(e *Env) (*Table, error) {
 			"paper: HPC GPU SDC 18% (ptr) / 45% (int) / 39% (FP); CPU programs SDC <2.3%; graphics SDC ~0",
 		},
 	}
-	groups := []struct {
-		name  string
-		specs []*workloads.Spec
-		cpu   bool
-	}{
-		{"GPU HPC", workloads.HPC(), false},
-		{"GPU graphics", workloads.Graphics(), false},
-		{"CPU programs", []*workloads.Spec{workloads.CPURef()}, true},
-	}
-	for _, g := range groups {
-		res, err := e.Sensitivity(g.name, g.specs, g.cpu)
-		if err != nil {
-			return nil, err
-		}
+	for _, r := range res {
 		for _, c := range []kir.DataClass{kir.ClassPointer, kir.ClassInteger, kir.ClassFloat} {
-			tal := res.ByClass[c]
+			tal := r.ByClass[c]
 			if tal == nil || tal.Total() == 0 {
 				continue
 			}
-			t.AddRow(g.name, c.String(),
+			t.AddRow(r.Group, c.String(),
 				100*tal.Frac(OutcomeFailure),
 				100*tal.Frac(OutcomeUndetected),
 				100*(tal.Frac(OutcomeMasked)+tal.Frac(OutcomeDetectedMasked)),
 				tal.Total())
 		}
 	}
-	return t, nil
+	return t
 }
 
 // Fig02 reproduces Figure 2: memory size by data type per program class.
@@ -203,15 +219,16 @@ func Fig13(e *Env) (*Table, error) {
 // Fig14 reproduces Figure 14: detection coverage per program and error-bit
 // count.
 func Fig14(e *Env) (*Table, error) {
-	t := &Table{
-		Title:  "Figure 14: Hauberk error detection outcomes",
-		Header: []string{"program", "bits", "failure %", "masked %", "det&masked %", "detected %", "undetected %", "coverage %"},
-		Notes: []string{
-			"paper single-bit averages: 35.6% masked, 11.0% failure, 21.4% detected, 22.2% detected&masked, 9.8% undetected; coverage 86.8%",
-		},
+	crs, err := e.coverageCampaigns()
+	if err != nil {
+		return nil, err
 	}
-	var total Tally
-	var singleBit Tally
+	return fig14Table(crs), nil
+}
+
+// coverageCampaigns runs Figure 14's FI&FT campaign on every HPC program.
+func (e *Env) coverageCampaigns() ([]*CampaignResult, error) {
+	var out []*CampaignResult
 	for _, spec := range workloads.HPC() {
 		golden, err := e.Golden(spec, workloads.Dataset{Index: 0})
 		if err != nil {
@@ -226,6 +243,23 @@ func Fig14(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		out = append(out, cr)
+	}
+	return out, nil
+}
+
+// fig14Table renders the Figure 14 rows of the coverage campaigns.
+func fig14Table(crs []*CampaignResult) *Table {
+	t := &Table{
+		Title:  "Figure 14: Hauberk error detection outcomes",
+		Header: []string{"program", "bits", "failure %", "masked %", "det&masked %", "detected %", "undetected %", "coverage %"},
+		Notes: []string{
+			"paper single-bit averages: 35.6% masked, 11.0% failure, 21.4% detected, 22.2% detected&masked, 9.8% undetected; coverage 86.8%",
+		},
+	}
+	var total Tally
+	var singleBit Tally
+	for _, cr := range crs {
 		bits := make([]int, 0, len(cr.ByBits))
 		for b := range cr.ByBits {
 			bits = append(bits, b)
@@ -233,7 +267,7 @@ func Fig14(e *Env) (*Table, error) {
 		sort.Ints(bits)
 		for _, b := range bits {
 			tal := cr.ByBits[b]
-			t.AddRow(spec.Name, fmt.Sprintf("%d", b),
+			t.AddRow(cr.Spec.Name, fmt.Sprintf("%d", b),
 				100*tal.Frac(OutcomeFailure), 100*tal.Frac(OutcomeMasked),
 				100*tal.Frac(OutcomeDetectedMasked), 100*tal.Frac(OutcomeDetected),
 				100*tal.Frac(OutcomeUndetected), 100*tal.Coverage())
@@ -251,7 +285,7 @@ func Fig14(e *Env) (*Table, error) {
 		100*singleBit.Frac(OutcomeFailure), 100*singleBit.Frac(OutcomeMasked),
 		100*singleBit.Frac(OutcomeDetectedMasked), 100*singleBit.Frac(OutcomeDetected),
 		100*singleBit.Frac(OutcomeUndetected), 100*singleBit.Coverage())
-	return t, nil
+	return t
 }
 
 // Fig15 reproduces Figure 15: FP value magnitude change vs error bits.
@@ -326,6 +360,18 @@ func fpRow(c *FPCurve) []string {
 // AlphaCoverageTable reproduces the Section IX.C alpha/coverage analysis
 // on MRI-FHD.
 func AlphaCoverageTable(e *Env) (*Table, error) {
+	rows, err := e.AlphaCoverage(workloads.ByName("MRI-FHD"), alphaSweep)
+	if err != nil {
+		return nil, err
+	}
+	return alphaTable(rows), nil
+}
+
+// alphaSweep are the alphas of the Section IX.C analysis.
+var alphaSweep = []float64{1, 1000, 10000, 100000}
+
+// alphaTable renders the Section IX.C rows.
+func alphaTable(rows []AlphaCoverageRow) *Table {
 	t := &Table{
 		Title:  "Section IX.C: MRI-FHD detection coverage vs alpha",
 		Header: []string{"alpha", "coverage %", "undetected %"},
@@ -333,14 +379,10 @@ func AlphaCoverageTable(e *Env) (*Table, error) {
 			"paper: coverage 95% at alpha=1 and alpha=1000; drops to 82.8% at alpha=10000 and 81.6% at alpha=100000",
 		},
 	}
-	rows, err := e.AlphaCoverage(workloads.ByName("MRI-FHD"), []float64{1, 1000, 10000, 100000})
-	if err != nil {
-		return nil, err
-	}
 	for _, r := range rows {
 		t.AddRow(fmt.Sprintf("%g", r.Alpha), 100*r.Coverage, 100*r.Tally.Frac(OutcomeUndetected))
 	}
-	return t, nil
+	return t
 }
 
 // InstrumentationTable reproduces Section IX.D's instrumentation-time

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -121,12 +123,28 @@ func TestAlphaCoverageMonotone(t *testing.T) {
 		t.Skip("campaign is slow")
 	}
 	e := NewEnv(QuickScale())
-	rows, err := e.AlphaCoverage(workloads.ByName("MRI-FHD"), []float64{1, 10000})
+	rows, err := e.AlphaCoverage(workloads.ByName("MRI-FHD"), alphaSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[1].Coverage > rows[0].Coverage+1e-9 {
-		t.Errorf("coverage must not grow with alpha: %v", rows)
+	checkTable(t, "alpha", alphaTable(rows))
+	for i := 1; i < len(rows); i++ {
+		if rows[i].Coverage > rows[i-1].Coverage+1e-9 {
+			t.Errorf("coverage must not grow with alpha: %v", rows)
+		}
+	}
+}
+
+// checkTable requires a rendered table to equal testdata/<name>.txt byte
+// for byte.
+func checkTable(t *testing.T, name string, tbl *Table) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Render(); got != string(want) {
+		t.Errorf("%s table differs from testdata/%s.txt:\n%s\nwant:\n%s", name, name, got, want)
 	}
 }
 
