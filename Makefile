@@ -22,7 +22,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 # fast, attributable failure.
 SMOKE_TIMEOUT ?= 600s
 
-.PHONY: all build test check fmt vet lint tools race cover bench-smoke bench-diff campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke bench bench-obs bench-perf bench-service
+.PHONY: all build test check fmt vet lint tools race cover bench-smoke bench-diff campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke bench bench-obs bench-perf bench-service report
 
 all: build
 
@@ -115,6 +115,12 @@ fleet-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# report regenerates the committed quick-scale report. Every table in it
+# prints the same on every run except Section IX.D's instrumentation
+# timings, which are wall-clock measurements of the host.
+report:
+	$(GO) run ./cmd/hauberk-report -fig all -scale quick -md > results/report-quick.md
 
 # bench-obs records the telemetry overhead comparison (nop vs enabled
 # hook path) to BENCH_obs.json.

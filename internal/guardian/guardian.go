@@ -22,6 +22,7 @@ package guardian
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hauberk/internal/core/hrt"
 	"hauberk/internal/gpu"
@@ -119,11 +120,6 @@ type Config struct {
 	// same input before the device is suspected (the paper diagnoses
 	// after the failure repeats twice).
 	MaxRestarts int
-	// Identical compares two outputs; nil means exact word equality
-	// (deterministic programs). Nondeterministic programs pass a
-	// tolerance comparison of at most twice the output correctness
-	// requirement, per Section VI(ii)(a).
-	Identical func(a, b []uint32) bool
 	// OnFalseAlarm is invoked with the alarms of a diagnosed false
 	// positive so the caller can widen detector ranges (on-line
 	// learning). May be nil.
@@ -166,11 +162,6 @@ func Supervise(cfg Config, run RunFn) (*Report, error) {
 	if cfg.MaxRestarts <= 0 {
 		cfg.MaxRestarts = 2
 	}
-	identical := cfg.Identical
-	if identical == nil {
-		identical = wordsEqual
-	}
-
 	rep := &Report{}
 	defer func() { cfg.emitDiagnosis(rep) }()
 	devIdx, dev := cfg.Pool.Acquire()
@@ -259,7 +250,7 @@ func Supervise(cfg Config, run RunFn) (*Report, error) {
 			rep.Final = first
 			return rep, nil
 
-		case second.SDC && identical(first.Output, second.Output):
+		case second.SDC && slices.Equal(first.Output, second.Output):
 			// (a) False alarm: both executions alarm with identical
 			// output. Learn the reported values into the ranges.
 			rep.Diagnosis = DiagFalseAlarm
@@ -359,25 +350,6 @@ func (cfg *Config) emitDiagnosis(rep *Report) {
 	m := cfg.Obs.Metrics()
 	m.Help("hauberk_guardian_diagnoses_total", "terminal Figure 11 diagnoses, by kind")
 	m.Counter("hauberk_guardian_diagnoses_total", "diagnosis", rep.Diagnosis.String()).Inc()
-}
-
-func wordsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ToleranceIdentical builds the nondeterministic-output comparison of
-// Section VI(ii)(a): outputs are treated as identical when every element
-// differs by no more than twice the program's correctness tolerance.
-func ToleranceIdentical(check func(golden, actual []uint32) bool) func(a, b []uint32) bool {
-	return func(a, b []uint32) bool { return check(a, b) }
 }
 
 // Error formats for gave-up cases in CLI contexts.

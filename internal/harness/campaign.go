@@ -1,17 +1,16 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"hauberk/internal/core/hrt"
 	"hauberk/internal/core/ranges"
 	"hauberk/internal/core/translate"
 	"hauberk/internal/gpu"
 	"hauberk/internal/kir"
-	"hauberk/internal/obs"
 	"hauberk/internal/stats"
 	"hauberk/internal/swifi"
 	"hauberk/internal/workloads"
@@ -93,24 +92,24 @@ func (e *Env) RunInjection(
 	mode translate.Mode,
 	inj Injection,
 ) (*InjectionResult, error) {
-	return e.runInjectionOn(e.NewDevice, spec, golden, store, mode, inj)
+	res, _, err := e.runInjection(spec, golden, store, mode, inj)
+	return res, err
 }
 
-// runInjectionOn is RunInjection with an explicit device factory (the
-// CPU-mode sensitivity rows of Figure 1 inject on page-protected devices).
-func (e *Env) runInjectionOn(
-	devFn func() *gpu.Device,
+// runInjection is RunInjection that also returns the launch's output
+// (nil when the launch failed).
+func (e *Env) runInjection(
 	spec *workloads.Spec,
 	golden *GoldenRun,
 	store *ranges.Store,
 	mode translate.Mode,
 	inj Injection,
-) (*InjectionResult, error) {
+) (*InjectionResult, []uint32, error) {
 	tr, err := e.Instrument(spec, translate.NewOptions(mode))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	d := devFn()
+	d := e.NewDevice()
 	inst := spec.Setup(d, golden.Dataset)
 
 	cb := hrt.NewControlBlock(tr.Detectors, store)
@@ -127,32 +126,19 @@ func (e *Env) runInjectionOn(
 	if lerr != nil {
 		res.Outcome = OutcomeFailure
 		_, res.Hang = lerr.(*gpu.HangError)
-		return res, nil
+		return res, nil, nil
 	}
 	out := inst.ReadOutput()
 	meets := spec.Requirement.Check(golden.Output, out)
 	res.Outcome = Classify(false, cb.SDC(), meets)
-	return res, nil
-}
-
-// containPanic invokes fn, converting an escaped panic into a classified
-// crash failure for the injection — the same OutcomeFailure a
-// *gpu.PanicError at the launch boundary yields. Campaign workers run fn
-// on pool goroutines with no caller to recover them, so without this a
-// single panicking workload would tear down the whole campaign process.
-func containPanic(inj Injection, fn func() (*InjectionResult, error)) (r *InjectionResult, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			r = &InjectionResult{Injection: inj, Outcome: OutcomeFailure}
-			err = nil
-		}
-	}()
-	return fn()
+	return res, out, nil
 }
 
 // CampaignResult aggregates a program's campaign.
 type CampaignResult struct {
-	Spec    *workloads.Spec
+	Spec *workloads.Spec
+	// Results holds the shard's results in plan order, rebuilt from the
+	// store records: each Injection carries only Bits and Class.
 	Results []InjectionResult
 	// ByBits tallies outcomes per error-bit count.
 	ByBits map[int]*Tally
@@ -165,8 +151,8 @@ type CampaignResult struct {
 }
 
 // aggregate rebuilds the tallies (All, ByBits, ByClass, Hangs) from
-// Results. It is shared by the in-memory runner, the durable runner, and
-// the shard merger, so every path derives figure aggregates identically.
+// Results. It is shared by the campaign runner and the shard merger, so
+// every path derives figure aggregates identically.
 func (cr *CampaignResult) aggregate() {
 	cr.All = Tally{}
 	cr.Hangs = 0
@@ -193,6 +179,16 @@ func (cr *CampaignResult) aggregate() {
 	}
 }
 
+// bitCounts returns the campaign's error-bit counts in ascending order.
+func (cr *CampaignResult) bitCounts() []int {
+	bits := make([]int, 0, len(cr.ByBits))
+	for b := range cr.ByBits {
+		bits = append(bits, b)
+	}
+	sort.Ints(bits)
+	return bits
+}
+
 // FigureDigest renders the campaign's aggregate figures (overall tally,
 // per-bit-count and per-class breakdowns, hang count) as a deterministic
 // string. Two campaigns whose digests are byte-identical produce the same
@@ -209,12 +205,7 @@ func (cr *CampaignResult) FigureDigest() string {
 		fmt.Fprintf(&sb, " coverage=%.6f\n", t.Coverage())
 	}
 	writeTally("all", &cr.All)
-	bits := make([]int, 0, len(cr.ByBits))
-	for b := range cr.ByBits {
-		bits = append(bits, b)
-	}
-	sort.Ints(bits)
-	for _, b := range bits {
+	for _, b := range cr.bitCounts() {
 		writeTally(fmt.Sprintf("bits[%d]", b), cr.ByBits[b])
 	}
 	classes := make([]int, 0, len(cr.ByClass))
@@ -228,12 +219,9 @@ func (cr *CampaignResult) FigureDigest() string {
 	return sb.String()
 }
 
-// RunCampaign executes a full injection campaign for one program, each
-// injection through fault-local replay (replay.go). With an enabled e.Obs
-// it journals campaign.start, a campaign.progress event roughly every
-// tenth of the plan, and a campaign.done event with the aggregated
-// coverage; per-outcome tallies feed the hauberk_injection_outcomes_total
-// counter family.
+// RunCampaign runs a whole injection campaign in memory: the durable
+// engine (RunCampaignDurable) with zero CampaignOptions, so no store
+// directory, one shard, and the derived watchdog.
 func (e *Env) RunCampaign(
 	spec *workloads.Spec,
 	golden *GoldenRun,
@@ -241,84 +229,5 @@ func (e *Env) RunCampaign(
 	mode translate.Mode,
 	plan []Injection,
 ) (*CampaignResult, error) {
-	out := &CampaignResult{
-		Spec:    spec,
-		ByBits:  make(map[int]*Tally),
-		ByClass: make(map[kir.DataClass]*Tally),
-		Results: make([]InjectionResult, len(plan)),
-	}
-	tab, err := e.recordReplay(spec, golden, store, mode)
-	if err != nil {
-		return nil, err
-	}
-	workers, extraWorkers := e.acquireCampaignWorkers()
-	defer gpu.ReleaseLaunchSlots(extraWorkers)
-	if e.Obs.Enabled() {
-		e.Obs.Emit(obs.EvCampaignStart,
-			obs.Str("program", spec.Name),
-			obs.Int("injections", int64(len(plan))),
-			obs.Int("mode", int64(mode)))
-	}
-	sp := e.Obs.Span(obs.EvCampaignDone)
-	progressEvery := len(plan) / 10
-	if progressEvery == 0 {
-		progressEvery = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		done     int
-		firstErr error
-	)
-	sem := make(chan struct{}, workers)
-	for i := range plan {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			r, err := containPanic(plan[i], func() (*InjectionResult, error) {
-				return e.replayInjection(tab, plan[i])
-			})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("injection %d: %w", i, err)
-				}
-				return
-			}
-			out.Results[i] = *r
-			done++
-			if e.Obs.Enabled() && done%progressEvery == 0 && done < len(plan) {
-				e.Obs.Emit(obs.EvCampaignProgress,
-					obs.Str("program", spec.Name),
-					obs.Int("done", int64(done)),
-					obs.Int("total", int64(len(plan))))
-			}
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	out.aggregate()
-	if e.Obs.Enabled() {
-		m := e.Obs.Metrics()
-		m.Help("hauberk_injection_outcomes_total",
-			"fault-injection outcomes (Section VIII five-way classification)")
-		for o := Outcome(0); o < NumOutcomes; o++ {
-			if n := out.All[o]; n > 0 {
-				m.Counter("hauberk_injection_outcomes_total",
-					"program", spec.Name, "outcome", o.String()).Add(int64(n))
-			}
-		}
-		sp.End(
-			obs.Str("program", spec.Name),
-			obs.Int("injections", int64(len(plan))),
-			obs.Int("failures", int64(out.All[OutcomeFailure])),
-			obs.Int("undetected", int64(out.All[OutcomeUndetected])),
-			obs.Float("coverage", out.All.Coverage()))
-	}
-	return out, nil
+	return e.RunCampaignDurable(context.Background(), spec, golden, store, mode, plan, CampaignOptions{})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,12 +33,15 @@ var heartbeatLagBuckets = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 
 // continues from the completed set.
 var ErrCampaignInterrupted = errors.New("campaign interrupted; store flushed, re-launch with resume")
 
-// CampaignOptions tunes the durable campaign engine.
+// CampaignOptions tunes the campaign engine. The zero value runs a whole
+// campaign in memory (RunCampaign).
 type CampaignOptions struct {
-	// Dir is the campaign store directory (required).
+	// Dir is the campaign store directory; empty keeps the records in
+	// memory, with nothing to resume from.
 	Dir string
 	// Resume loads completed injection IDs from the store and runs only
-	// the remainder; without it a non-empty store is an error.
+	// the remainder; without it a non-empty store is an error. It needs
+	// Dir.
 	Resume bool
 	// Shard/Shards split the planned injection list across processes:
 	// this run owns plan indices where idx % Shards == Shard. The plan is
@@ -179,14 +181,16 @@ func resultFromRecord(rec cstore.Record) InjectionResult {
 }
 
 // RunCampaignDurable executes (or resumes) one shard of an injection
-// campaign with durable results: every classified outcome is appended to
-// the store's JSONL log before it counts as done, each injection runs
-// under a wall-clock watchdog (expiry classifies the run as a hang
-// failure, Section VI(i)), and infrastructure errors are retried with the
-// guardian's exponential back-off. Cancelling ctx stops dispatch, flushes
-// the store and returns ErrCampaignInterrupted; a later call with
-// Resume set completes the remainder and yields aggregates byte-identical
-// to an uninterrupted run.
+// campaign. It is the repository's only campaign loop. Each injection
+// runs through fault-local replay (replay.go) under a wall-clock
+// watchdog (expiry classifies the run as a hang failure, Section VI(i)),
+// and infrastructure errors are retried with the guardian's exponential
+// back-off. With opts.Dir every classified outcome is appended to the
+// store's JSONL log before it counts as done; without it the records
+// stay in memory. Cancelling ctx stops dispatch, flushes the store and
+// returns ErrCampaignInterrupted; a later call with Resume set completes
+// the remainder and yields aggregates byte-identical to an uninterrupted
+// run.
 func (e *Env) RunCampaignDurable(
 	ctx context.Context,
 	spec *workloads.Spec,
@@ -197,16 +201,18 @@ func (e *Env) RunCampaignDurable(
 	opts CampaignOptions,
 ) (*CampaignResult, error) {
 	opts = opts.withDefaults()
-	if opts.Dir == "" {
-		return nil, errors.New("harness: durable campaign needs a store dir")
-	}
 	if opts.Shard < 0 || opts.Shard >= opts.Shards {
 		return nil, fmt.Errorf("harness: invalid shard %d/%d", opts.Shard, opts.Shards)
 	}
-	man := e.CampaignManifest(spec, mode, plan)
-	cs, err := cstore.Open(opts.Dir, man, opts.Shard, opts.Shards, opts.Resume)
-	if err != nil {
-		return nil, err
+	cs := cstore.Memory()
+	var err error
+	if opts.Dir != "" {
+		cs, err = cstore.Open(opts.Dir, e.CampaignManifest(spec, mode, plan), opts.Shard, opts.Shards, opts.Resume)
+		if err != nil {
+			return nil, err
+		}
+	} else if opts.Resume {
+		return nil, errors.New("harness: resuming a campaign needs a store dir")
 	}
 	defer cs.Close()
 
@@ -228,6 +234,7 @@ func (e *Env) RunCampaignDurable(
 		pending = append(pending, i)
 	}
 	resumed := owned - len(pending)
+	sp := e.Obs.Span(obs.EvCampaignDone)
 	if e.Obs.Enabled() {
 		e.Obs.Emit(obs.EvCampaignStart,
 			obs.Str("program", spec.Name),
@@ -373,7 +380,23 @@ func (e *Env) RunCampaignDurable(
 		out.Results = append(out.Results, resultFromRecord(rec))
 	}
 	out.aggregate()
-	e.emitCampaignDone(spec, len(out.Results), out)
+	if e.Obs.Enabled() {
+		m := e.Obs.Metrics()
+		m.Help("hauberk_injection_outcomes_total",
+			"fault-injection outcomes (Section VIII five-way classification)")
+		for o := Outcome(0); o < NumOutcomes; o++ {
+			if c := out.All[o]; c > 0 {
+				m.Counter("hauberk_injection_outcomes_total",
+					"program", spec.Name, "outcome", o.String()).Add(int64(c))
+			}
+		}
+		sp.End(
+			obs.Str("program", spec.Name),
+			obs.Int("injections", int64(len(out.Results))),
+			obs.Int("failures", int64(out.All[OutcomeFailure])),
+			obs.Int("undetected", int64(out.All[OutcomeUndetected])),
+			obs.Float("coverage", out.All.Coverage()))
+	}
 	return out, nil
 }
 
@@ -534,29 +557,6 @@ func (g *guard) run(ctx context.Context, inj Injection, runFn func() (*Injection
 	}
 }
 
-// emitCampaignDone mirrors RunCampaign's completion telemetry for the
-// durable path.
-func (e *Env) emitCampaignDone(spec *workloads.Spec, n int, out *CampaignResult) {
-	if !e.Obs.Enabled() {
-		return
-	}
-	m := e.Obs.Metrics()
-	m.Help("hauberk_injection_outcomes_total",
-		"fault-injection outcomes (Section VIII five-way classification)")
-	for o := Outcome(0); o < NumOutcomes; o++ {
-		if c := out.All[o]; c > 0 {
-			m.Counter("hauberk_injection_outcomes_total",
-				"program", spec.Name, "outcome", o.String()).Add(int64(c))
-		}
-	}
-	e.Obs.Emit(obs.EvCampaignDone,
-		obs.Str("program", spec.Name),
-		obs.Int("injections", int64(n)),
-		obs.Int("failures", int64(out.All[OutcomeFailure])),
-		obs.Int("undetected", int64(out.All[OutcomeUndetected])),
-		obs.Float("coverage", out.All.Coverage()))
-}
-
 // CampaignTable renders a campaign's aggregate outcomes in the Figure 14
 // shape: one row per error-bit count plus a total row.
 func CampaignTable(man cstore.Manifest, cr *CampaignResult) *Table {
@@ -564,21 +564,10 @@ func CampaignTable(man cstore.Manifest, cr *CampaignResult) *Table {
 		Title:  fmt.Sprintf("Campaign %s (mode %d, %d injections, plan %s)", man.Program, man.Mode, man.Injections, man.PlanHash),
 		Header: []string{"bits", "n", "failure %", "masked %", "det&masked %", "detected %", "undetected %", "coverage %"},
 	}
-	bits := make([]int, 0, len(cr.ByBits))
-	for b := range cr.ByBits {
-		bits = append(bits, b)
+	for _, b := range cr.bitCounts() {
+		t.addOutcomeRow(cr.ByBits[b], fmt.Sprintf("%d", b), fmt.Sprintf("%d", cr.ByBits[b].Total()))
 	}
-	sort.Ints(bits)
-	row := func(label string, tal *Tally) {
-		t.AddRow(label, fmt.Sprintf("%d", tal.Total()),
-			100*tal.Frac(OutcomeFailure), 100*tal.Frac(OutcomeMasked),
-			100*tal.Frac(OutcomeDetectedMasked), 100*tal.Frac(OutcomeDetected),
-			100*tal.Frac(OutcomeUndetected), 100*tal.Coverage())
-	}
-	for _, b := range bits {
-		row(fmt.Sprintf("%d", b), cr.ByBits[b])
-	}
-	row("ALL", &cr.All)
+	t.addOutcomeRow(&cr.All, "ALL", fmt.Sprintf("%d", cr.All.Total()))
 	t.Notes = append(t.Notes, fmt.Sprintf("hangs: %d", cr.Hangs))
 	return t
 }

@@ -60,6 +60,11 @@ func TestCampaignResumeDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An in-memory campaign has nothing to resume from.
+	if _, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
+		translate.ModeFIFT, plan, CampaignOptions{Resume: true}); err == nil {
+		t.Fatal("Resume without a store dir was accepted")
+	}
 	// Reference 2: an uninterrupted durable run.
 	full, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
 		translate.ModeFIFT, plan, CampaignOptions{Dir: t.TempDir()})

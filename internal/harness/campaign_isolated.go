@@ -99,7 +99,6 @@ func WorkerMain(in io.Reader, out io.Writer) error {
 			// Workers are processes in a pool: each keeps its own launch
 			// parallelism serial so N workers use N cores, not N*NumCPU.
 			env := NewEnv(QuickScale())
-			env.Scale.Workers = 1
 			env.Config.Interpreter = gpu.Interpreter(req.Engine)
 			env.Config.LaunchWorkers = 1
 			ds := workloads.Dataset{Index: req.Dataset}

@@ -285,20 +285,3 @@ func TestGuardRunContainsPanic(t *testing.T) {
 		t.Fatalf("panicking run classified as %+v, want non-hang failure", r)
 	}
 }
-
-// TestContainPanic covers the same layer in the in-memory runner's worker
-// pool.
-func TestContainPanic(t *testing.T) {
-	inj := Injection{Bits: 1}
-	r, err := containPanic(inj, func() (*InjectionResult, error) {
-		panic("deliberate pool panic")
-	})
-	if err != nil || r.Outcome != OutcomeFailure {
-		t.Fatalf("containPanic = (%+v, %v), want a failure result", r, err)
-	}
-	want := &InjectionResult{Injection: inj, Outcome: OutcomeMasked}
-	r, err = containPanic(inj, func() (*InjectionResult, error) { return want, nil })
-	if err != nil || r != want {
-		t.Fatalf("containPanic did not pass a clean result through: (%+v, %v)", r, err)
-	}
-}

@@ -42,13 +42,9 @@ func TestFig01SensitivityShape(t *testing.T) {
 		t.Skip("campaign is slow")
 	}
 	e := NewEnv(QuickScale())
-	var res []*SensitivityResult
-	for _, g := range fig01Groups() {
-		r, err := e.Sensitivity(g.name, g.specs, g.cpu)
-		if err != nil {
-			t.Fatalf("%s sensitivity: %v", g.name, err)
-		}
-		res = append(res, r)
+	res, err := e.sensitivityGroups()
+	if err != nil {
+		t.Fatal(err)
 	}
 	checkTable(t, "fig01", fig01Table(res))
 	hpc, gfx, cpu := res[0], res[1], res[2]

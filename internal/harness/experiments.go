@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"hauberk/internal/core/translate"
 	"hauberk/internal/kir"
@@ -16,31 +14,33 @@ import (
 // Fig01 reproduces Figure 1: error sensitivity by program type and data
 // class under single-bit injections.
 func Fig01(e *Env) (*Table, error) {
-	var res []*SensitivityResult
-	for _, g := range fig01Groups() {
-		r, err := e.Sensitivity(g.name, g.specs, g.cpu)
-		if err != nil {
-			return nil, err
-		}
-		res = append(res, r)
+	res, err := e.sensitivityGroups()
+	if err != nil {
+		return nil, err
 	}
 	return fig01Table(res), nil
 }
 
-// fig01Group is one program group of Figure 1; cpu runs its programs on
-// page-protected devices.
-type fig01Group struct {
-	name  string
-	specs []*workloads.Spec
-	cpu   bool
-}
-
-func fig01Groups() []fig01Group {
-	return []fig01Group{
+// sensitivityGroups runs the Figure 1 study on its three program groups;
+// the CPU programs run on page-protected devices.
+func (e *Env) sensitivityGroups() ([]*SensitivityResult, error) {
+	var out []*SensitivityResult
+	for _, g := range []struct {
+		name  string
+		specs []*workloads.Spec
+		cpu   bool
+	}{
 		{"GPU HPC", workloads.HPC(), false},
 		{"GPU graphics", workloads.Graphics(), false},
 		{"CPU programs", []*workloads.Spec{workloads.CPURef()}, true},
+	} {
+		r, err := e.Sensitivity(g.name, g.specs, g.cpu)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
 	}
+	return out, nil
 }
 
 // fig01Table renders the Figure 1 rows of the groups' sensitivity results.
@@ -260,31 +260,16 @@ func fig14Table(crs []*CampaignResult) *Table {
 	var total Tally
 	var singleBit Tally
 	for _, cr := range crs {
-		bits := make([]int, 0, len(cr.ByBits))
-		for b := range cr.ByBits {
-			bits = append(bits, b)
-		}
-		sort.Ints(bits)
-		for _, b := range bits {
-			tal := cr.ByBits[b]
-			t.AddRow(cr.Spec.Name, fmt.Sprintf("%d", b),
-				100*tal.Frac(OutcomeFailure), 100*tal.Frac(OutcomeMasked),
-				100*tal.Frac(OutcomeDetectedMasked), 100*tal.Frac(OutcomeDetected),
-				100*tal.Frac(OutcomeUndetected), 100*tal.Coverage())
+		for _, b := range cr.bitCounts() {
+			t.addOutcomeRow(cr.ByBits[b], cr.Spec.Name, fmt.Sprintf("%d", b))
 		}
 		total.Merge(cr.All)
 		if tal := cr.ByBits[1]; tal != nil {
 			singleBit.Merge(*tal)
 		}
 	}
-	t.AddRow("AVG(all)", "*",
-		100*total.Frac(OutcomeFailure), 100*total.Frac(OutcomeMasked),
-		100*total.Frac(OutcomeDetectedMasked), 100*total.Frac(OutcomeDetected),
-		100*total.Frac(OutcomeUndetected), 100*total.Coverage())
-	t.AddRow("AVG(1-bit)", "1",
-		100*singleBit.Frac(OutcomeFailure), 100*singleBit.Frac(OutcomeMasked),
-		100*singleBit.Frac(OutcomeDetectedMasked), 100*singleBit.Frac(OutcomeDetected),
-		100*singleBit.Frac(OutcomeUndetected), 100*singleBit.Coverage())
+	t.addOutcomeRow(&total, "AVG(all)", "*")
+	t.addOutcomeRow(&singleBit, "AVG(1-bit)", "1")
 	return t
 }
 
@@ -433,14 +418,4 @@ func AllFigures(e *Env) ([]*Table, error) {
 		out = append(out, tbl)
 	}
 	return out, nil
-}
-
-// RenderAll renders all tables as one text report.
-func RenderAll(tables []*Table) string {
-	var sb strings.Builder
-	for _, t := range tables {
-		sb.WriteString(t.Render())
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }

@@ -77,59 +77,20 @@ func (e *Env) GraphicsFaultStudy(spec *workloads.Spec, errorCounts []int) ([]Gra
 	if err != nil {
 		return nil, err
 	}
-	prof, err := e.Profile(spec, []workloads.Dataset{{Index: 0}})
+	cmds, err := e.graphicsFaults(spec, errorCounts)
 	if err != nil {
 		return nil, err
 	}
-	// Pick the busiest FPU site inside the loop: that is where an
-	// intermittent FPU fault manifests.
-	bestSite := -1
-	var bestCount int64
-	for _, s := range prof.Sites {
-		if s.InLoop && s.HW == kir.HWFPU && prof.ExecCounts[s.ID] > bestCount {
-			bestSite, bestCount = s.ID, prof.ExecCounts[s.ID]
-		}
-	}
-	if bestSite < 0 {
-		return nil, fmt.Errorf("harness: %s has no loop FPU site", spec.Name)
-	}
-
 	var out []GraphicsFaultCase
-	for _, n := range errorCounts {
-		inj := Injection{
-			Cmd: swifi.Command{
-				Site:     bestSite,
-				Instance: bestCount / 4,
-				Count:    int64(n),
-				Mask:     1 << 22, // high-mantissa flip: a visible spike
-			},
-			Bits: 1,
-		}
-		r, err := e.RunInjection(spec, golden, nil, translate.ModeFI, inj)
+	for i, n := range errorCounts {
+		r, frame, err := e.runInjection(spec, golden, nil, translate.ModeFI, Injection{Cmd: cmds[i], Bits: 1})
 		if err != nil {
 			return nil, err
 		}
-		c := GraphicsFaultCase{Errors: n, Failed: r.Outcome == OutcomeFailure}
+		c := GraphicsFaultCase{Errors: n, Failed: r.Outcome == OutcomeFailure, UserNoticeable: true}
 		if !c.Failed {
-			// Re-run to inspect the actual frame for pixel accounting.
-			d := e.NewDevice()
-			inst := spec.Setup(d, workloads.Dataset{Index: 0})
-			tr, err := e.Instrument(spec, translate.NewOptions(translate.ModeFI))
-			if err != nil {
-				return nil, err
-			}
-			injector := &swifi.Injector{}
-			injector.Arm(inj.Cmd)
-			rt := newProbeOnly(injector.Probe)
-			if _, err := d.Launch(tr.Kernel, gpu.LaunchSpec{
-				Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: rt,
-			}); err == nil {
-				frame := inst.ReadOutput()
-				c.CorruptPixels = countCorrupt(golden.Output, frame, 0.05)
-				c.UserNoticeable = !spec.Requirement.Check(golden.Output, frame)
-			}
-		} else {
-			c.UserNoticeable = true
+			c.CorruptPixels = countCorrupt(golden.Output, frame, 0.05)
+			c.UserNoticeable = !spec.Requirement.Check(golden.Output, frame)
 		}
 		out = append(out, c)
 	}
@@ -139,6 +100,31 @@ func (e *Env) GraphicsFaultStudy(spec *workloads.Spec, errorCounts []int) ([]Gra
 // GraphicsFaultFrame runs the intermittent-fault scenario once and returns
 // the corrupted frame words (for rendering the Figure 3 stripe).
 func (e *Env) GraphicsFaultFrame(spec *workloads.Spec, errors int) ([]uint32, error) {
+	cmds, err := e.graphicsFaults(spec, []int{errors})
+	if err != nil {
+		return nil, err
+	}
+	tr, err := e.Instrument(spec, translate.NewOptions(translate.ModeFI))
+	if err != nil {
+		return nil, err
+	}
+	injector := &swifi.Injector{}
+	injector.Arm(cmds[0])
+	d := e.NewDevice()
+	inst := spec.Setup(d, workloads.Dataset{Index: 0})
+	if _, err := d.Launch(tr.Kernel, gpu.LaunchSpec{
+		Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: newProbeOnly(injector.Probe),
+	}); err != nil {
+		return nil, err
+	}
+	return inst.ReadOutput(), nil
+}
+
+// graphicsFaults returns Figure 3's FPU fault for each error count: a
+// high-mantissa flip (a visible spike) of that many consecutive values at
+// the busiest FPU site inside the loop, where an intermittent FPU fault
+// manifests, from a quarter of the way through its executions.
+func (e *Env) graphicsFaults(spec *workloads.Spec, errorCounts []int) ([]swifi.Command, error) {
 	prof, err := e.Profile(spec, []workloads.Dataset{{Index: 0}})
 	if err != nil {
 		return nil, err
@@ -153,20 +139,11 @@ func (e *Env) GraphicsFaultFrame(spec *workloads.Spec, errors int) ([]uint32, er
 	if bestSite < 0 {
 		return nil, fmt.Errorf("harness: %s has no loop FPU site", spec.Name)
 	}
-	tr, err := e.Instrument(spec, translate.NewOptions(translate.ModeFI))
-	if err != nil {
-		return nil, err
+	cmds := make([]swifi.Command, len(errorCounts))
+	for i, n := range errorCounts {
+		cmds[i] = swifi.Command{Site: bestSite, Instance: bestCount / 4, Count: int64(n), Mask: 1 << 22}
 	}
-	injector := &swifi.Injector{}
-	injector.Arm(swifi.Command{Site: bestSite, Instance: bestCount / 4, Count: int64(errors), Mask: 1 << 22})
-	d := e.NewDevice()
-	inst := spec.Setup(d, workloads.Dataset{Index: 0})
-	if _, err := d.Launch(tr.Kernel, gpu.LaunchSpec{
-		Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: newProbeOnly(injector.Probe),
-	}); err != nil {
-		return nil, err
-	}
-	return inst.ReadOutput(), nil
+	return cmds, nil
 }
 
 func countCorrupt(golden, frame []uint32, frac float64) int {

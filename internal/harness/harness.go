@@ -183,36 +183,23 @@ func (e *Env) Instrument(spec *workloads.Spec, opts translate.Options) (*transla
 	return r, nil
 }
 
-// campaignWorkers resolves Scale.Workers: a non-positive value scales with
-// the machine.
-func (e *Env) campaignWorkers() int {
-	if w := e.Scale.Workers; w > 0 {
-		return w
-	}
-	return runtime.NumCPU()
-}
-
 // acquireCampaignWorkers sizes a campaign's worker pool from the shared
 // launch budget: the campaign always gets one worker (the caller) plus as
 // many extra slots as gpu.AcquireLaunchSlots grants, capped by
-// Scale.Workers. Campaign-level and per-launch block-shard parallelism
-// draw from the same process-wide budget, so a parallel campaign whose
-// runs launch parallel kernels shares the cores instead of multiplying
-// them. The caller must return the extra slots with
-// gpu.ReleaseLaunchSlots when the campaign completes.
+// Scale.Workers (non-positive: one per CPU). Campaign-level and
+// per-launch block-shard parallelism draw from the same process-wide
+// budget, so a parallel campaign whose runs launch parallel kernels
+// shares the cores instead of multiplying them. The caller must return
+// the extra slots with gpu.ReleaseLaunchSlots when the campaign
+// completes.
 func (e *Env) acquireCampaignWorkers() (workers, extra int) {
-	extra = gpu.AcquireLaunchSlots(e.campaignWorkers() - 1)
+	want := e.Scale.Workers
+	if want <= 0 {
+		want = runtime.NumCPU()
+	}
+	extra = gpu.AcquireLaunchSlots(want - 1)
 	return 1 + extra, extra
 }
 
 // NewDevice creates a fresh simulated device for one run.
 func (e *Env) NewDevice() *gpu.Device { return gpu.New(e.Config) }
-
-// NewCPUDevice creates a device with CPU (page-protected) semantics for
-// the Figure 1 CPU rows.
-func (e *Env) NewCPUDevice() *gpu.Device {
-	cfg := e.Config
-	cfg.Mode = gpu.ModeCPU
-	cfg.SMs = 1
-	return gpu.New(cfg)
-}

@@ -288,13 +288,3 @@ func (e *Env) countReplay(path, reason string) {
 		"injections by fault-local replay path (local: the faulted thread only; full: the whole grid) and the reason for it")
 	m.Counter("hauberk_replay_total", "path", path, "reason", reason).Inc()
 }
-
-// replayInjection runs one injection through tab and counts its path.
-func (e *Env) replayInjection(tab *replayTable, inj Injection) (*InjectionResult, error) {
-	r, path, reason, err := tab.run(e, inj)
-	if err != nil {
-		return nil, err
-	}
-	e.countReplay(path, reason)
-	return r, nil
-}

@@ -19,9 +19,9 @@ import (
 	"hauberk/internal/workloads"
 )
 
-// fullResults re-executes every injection of plan in full (the reference
-// fault-local replay must reproduce), over NumCPU goroutines.
-func fullResults(t *testing.T, e *Env, spec *workloads.Spec, golden *GoldenRun, store *ranges.Store, plan []Injection) []*InjectionResult {
+// fullResults re-executes every injection of plan in full under mode (the
+// reference fault-local replay must reproduce), over NumCPU goroutines.
+func fullResults(t *testing.T, e *Env, spec *workloads.Spec, golden *GoldenRun, store *ranges.Store, mode translate.Mode, plan []Injection) []*InjectionResult {
 	t.Helper()
 	out := make([]*InjectionResult, len(plan))
 	errs := make([]error, len(plan))
@@ -32,7 +32,7 @@ func fullResults(t *testing.T, e *Env, spec *workloads.Spec, golden *GoldenRun, 
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i], errs[i] = e.RunInjection(spec, golden, store, translate.ModeFIFT, plan[i])
+				out[i], errs[i] = e.RunInjection(spec, golden, store, mode, plan[i])
 			}
 		}()
 	}
@@ -64,16 +64,17 @@ var replayEngines = []struct {
 	{"tree", gpu.InterpreterTree},
 }
 
-// checkReplayExact replays every injection of plan on both engines and
-// requires the full re-execution's result for each; it returns how many
-// injections took each "path/reason".
-func checkReplayExact(t *testing.T, spec *workloads.Spec, golden *GoldenRun, store *ranges.Store, plan []Injection, want []*InjectionResult) map[string]int {
+// checkReplayExact replays every injection of plan under mode on both
+// engines, each on a clone of e, and requires the full re-execution's
+// result for each; it returns how many injections took each
+// "path/reason".
+func checkReplayExact(t *testing.T, e *Env, spec *workloads.Spec, golden *GoldenRun, store *ranges.Store, mode translate.Mode, plan []Injection, want []*InjectionResult) map[string]int {
 	t.Helper()
 	paths := map[string]int{}
 	for _, eng := range replayEngines {
-		e := NewEnv(QuickScale())
+		e := e.Clone()
 		e.Config.Interpreter = eng.interp
-		tab, err := e.recordReplay(spec, golden, store, translate.ModeFIFT)
+		tab, err := e.recordReplay(spec, golden, store, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,28 +94,43 @@ func checkReplayExact(t *testing.T, spec *workloads.Spec, golden *GoldenRun, sto
 	return paths
 }
 
+// checkQuickPlan holds replay exact on one quick-scale plan of spec on
+// dataset ds, planned over bits and run under mode on env e; FI-only
+// plans run without a range store, as Figure 1's do. It returns how many
+// injections took each "path/reason".
+func checkQuickPlan(t *testing.T, e *Env, spec *workloads.Spec, ds workloads.Dataset, mode translate.Mode, bits []int) map[string]int {
+	t.Helper()
+	golden, err := e.Golden(spec, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := e.Profile(spec, []workloads.Dataset{ds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := prof.Store
+	if mode == translate.ModeFI {
+		store = nil
+	}
+	plan := e.PlanCampaign(spec, prof, bits)
+	want := fullResults(t, e, spec, golden, store, mode, plan)
+	paths := checkReplayExact(t, e, spec, golden, store, mode, plan, want)
+	t.Logf("%-10s dataset %d mode %v: %d injections, paths %v", spec.Name, ds.Index, mode, len(plan), paths)
+	return paths
+}
+
 // TestReplayExactQuickPlans is the exactness suite: for every plan index
 // of all nine quick-scale campaign plans, on dataset 0 and dataset 5,
 // fault-local replay on the bytecode and tree engines gives the
 // InjectionResult (Outcome, Hang, Activated) a full re-execution gives.
+// FI-only rows cover the Figure 1 campaigns: one HPC and one graphics
+// program, and the CPU-mode reference program on a page-protected device.
 func TestReplayExactQuickPlans(t *testing.T) {
 	specs := append(workloads.HPC(), workloads.Graphics()...)
 	total := map[string]int{}
 	for _, spec := range specs {
 		for _, ds := range []workloads.Dataset{{Index: 0}, {Index: 5}} {
-			e := NewEnv(QuickScale())
-			golden, err := e.Golden(spec, ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prof, err := e.Profile(spec, []workloads.Dataset{ds})
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan := e.PlanCampaign(spec, prof, e.Scale.BitCounts)
-			want := fullResults(t, e, spec, golden, prof.Store, plan)
-			paths := checkReplayExact(t, spec, golden, prof.Store, plan, want)
-			t.Logf("%-10s dataset %d: %d injections, paths %v", spec.Name, ds.Index, len(plan), paths)
+			paths := checkQuickPlan(t, NewEnv(QuickScale()), spec, ds, translate.ModeFIFT, QuickScale().BitCounts)
 			for k, n := range paths {
 				total[k] += n
 			}
@@ -127,6 +143,21 @@ func TestReplayExactQuickPlans(t *testing.T) {
 		if total[k] == 0 {
 			t.Errorf("no quick-plan injection took %s (paths %v)", k, total)
 		}
+	}
+
+	cpu := NewEnv(QuickScale())
+	cpu.Config.Mode = gpu.ModeCPU
+	cpu.Config.SMs = 1
+	for _, row := range []struct {
+		e    *Env
+		spec *workloads.Spec
+		bits []int
+	}{
+		{NewEnv(QuickScale()), workloads.CP(), QuickScale().BitCounts},
+		{NewEnv(QuickScale()), workloads.OceanFlow(), []int{1}},
+		{cpu, workloads.CPURef(), []int{1}},
+	} {
+		checkQuickPlan(t, row.e, row.spec, workloads.Dataset{Index: 0}, translate.ModeFI, row.bits)
 	}
 }
 
@@ -222,13 +253,13 @@ func runReplayCase(t *testing.T, c replayCase) {
 			}
 		}
 		ref := NewEnv(QuickScale())
-		want := fullResults(t, ref, c.spec, golden, c.store, c.plan)
+		want := fullResults(t, ref, c.spec, golden, c.store, translate.ModeFIFT, c.plan)
 		tab, err := e.recordReplay(c.spec, golden, c.store, translate.ModeFIFT)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, inj := range c.plan {
-			got, err := e.replayInjection(tab, inj)
+			got, err := e.runInjectionGuarded(context.Background(), tab, inj, time.Minute, CampaignOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -430,7 +461,7 @@ func TestReplayCleanAlarmsAroundFault(t *testing.T) {
 			plan = append(plan, Injection{Cmd: swifi.Command{Site: dx, Instance: pre[T] + 5, Mask: mask}})
 		}
 	}
-	want := fullResults(t, e, cp, golden, tight, plan)
+	want := fullResults(t, e, cp, golden, tight, translate.ModeFIFT, plan)
 	detected := 0
 	for _, r := range want {
 		if r.Outcome == OutcomeDetected || r.Outcome == OutcomeDetectedMasked {
@@ -440,7 +471,7 @@ func TestReplayCleanAlarmsAroundFault(t *testing.T) {
 	if detected != len(plan) {
 		t.Fatalf("only %d of %d full runs raised the SDC bit; the clean alarms must set it for all", detected, len(plan))
 	}
-	checkReplayExact(t, cp, golden, tight, plan, want)
+	checkReplayExact(t, e, cp, golden, tight, translate.ModeFIFT, plan, want)
 	for _, inj := range plan {
 		if r, path, reason, _ := tab.run(e, inj); path != replayLocal || reason != reasonIsolated {
 			t.Fatalf("%s took %s/%s (outcome %v), want local/isolated", inj.Cmd.Key(), path, reason, r.Outcome)

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"hauberk/internal/core/translate"
 	"hauberk/internal/gpu"
 	"hauberk/internal/kir"
@@ -17,8 +15,6 @@ import (
 type SensitivityResult struct {
 	Group   string
 	ByClass map[kir.DataClass]*Tally
-	// Runs counts the injections performed.
-	Runs int
 }
 
 // SDCRatio returns the SDC fraction for a data class.
@@ -39,49 +35,38 @@ func (s *SensitivityResult) FailureRatio(c kir.DataClass) float64 {
 	return t.Frac(OutcomeFailure)
 }
 
-// Sensitivity runs the Figure 1 study for a program group. cpuMode runs
-// the programs on a page-protected scalar device, reproducing the
-// CPU-program profile (low SDC, high crash) from the same injections.
+// Sensitivity runs the Figure 1 study for a program group: one FI-only
+// campaign of single-bit faults per program. cpuMode runs the programs on
+// a page-protected scalar device, reproducing the CPU-program profile
+// (low SDC, high crash) from the same injections.
 func (e *Env) Sensitivity(group string, specs []*workloads.Spec, cpuMode bool) (*SensitivityResult, error) {
-	out := &SensitivityResult{Group: group, ByClass: make(map[kir.DataClass]*Tally)}
-	devFn := e.NewDevice
 	if cpuMode {
-		devFn = e.NewCPUDevice
+		e = e.Clone()
+		e.Config.Mode = gpu.ModeCPU
+		e.Config.SMs = 1
 	}
+	out := &SensitivityResult{Group: group, ByClass: make(map[kir.DataClass]*Tally)}
+	ds := workloads.Dataset{Index: 0}
 	for _, spec := range specs {
-		golden, err := e.goldenOn(devFn, spec)
+		golden, err := e.Golden(spec, ds)
 		if err != nil {
 			return nil, err
 		}
-		prof, err := e.Profile(spec, []workloads.Dataset{{Index: 0}})
+		prof, err := e.Profile(spec, []workloads.Dataset{ds})
 		if err != nil {
 			return nil, err
 		}
 		// Figure 1 uses single-bit errors only (SEU emulation).
-		plan := e.PlanCampaign(spec, prof, []int{1})
-		for _, inj := range plan {
-			r, err := e.runInjectionOn(devFn, spec, golden, nil, translate.ModeFI, inj)
-			if err != nil {
-				return nil, err
+		cr, err := e.RunCampaign(spec, golden, nil, translate.ModeFI, e.PlanCampaign(spec, prof, []int{1}))
+		if err != nil {
+			return nil, err
+		}
+		for c, tal := range cr.ByClass {
+			if out.ByClass[c] == nil {
+				out.ByClass[c] = &Tally{}
 			}
-			t := out.ByClass[inj.Class]
-			if t == nil {
-				t = &Tally{}
-				out.ByClass[inj.Class] = t
-			}
-			t.Add(r.Outcome)
-			out.Runs++
+			out.ByClass[c].Merge(*tal)
 		}
 	}
 	return out, nil
-}
-
-func (e *Env) goldenOn(devFn func() *gpu.Device, spec *workloads.Spec) (*GoldenRun, error) {
-	d := devFn()
-	inst := spec.Setup(d, workloads.Dataset{Index: 0})
-	res, err := d.Launch(spec.Build(), gpu.LaunchSpec{Grid: inst.Grid, Block: inst.Block, Args: inst.Args})
-	if err != nil {
-		return nil, fmt.Errorf("harness: golden run of %s: %w", spec.Name, err)
-	}
-	return &GoldenRun{Spec: spec, Dataset: workloads.Dataset{Index: 0}, Output: inst.ReadOutput(), Result: res}, nil
 }

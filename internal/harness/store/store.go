@@ -103,7 +103,7 @@ func ShardFile(shard, shards int) string {
 
 // Store is one shard's append-only result log plus the set of records
 // already completed (loaded at open, extended by Append). Safe for
-// concurrent Append calls.
+// concurrent Append calls. A Memory store keeps the set only.
 type Store struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -160,9 +160,19 @@ func Open(dir string, m Manifest, shard, shards int, resume bool) (*Store, error
 	return &Store{f: f, w: bufio.NewWriter(f), done: done}, nil
 }
 
-// Append durably records one completed injection: the line is flushed to
-// the OS before Append returns, so a later kill cannot lose it.
+// Memory returns an empty store that keeps its records in memory only:
+// nothing to resume from, nothing to merge.
+func Memory() *Store { return &Store{done: make(map[int]Record)} }
+
+// Append records one completed injection. A directory store flushes the
+// line to the OS before Append returns, so a later kill cannot lose it.
 func (s *Store) Append(r Record) error {
+	if s.f == nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.done[r.Idx] = r
+		return nil
+	}
 	raw, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("store: encode record: %w", err)
@@ -199,6 +209,9 @@ func (s *Store) Completed() int {
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.f == nil {
+		return nil
+	}
 	if err := s.w.Flush(); err != nil {
 		return err
 	}
@@ -209,6 +222,9 @@ func (s *Store) Sync() error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.f == nil {
+		return nil
+	}
 	err := s.w.Flush()
 	if cerr := s.f.Close(); err == nil {
 		err = cerr

@@ -11,6 +11,26 @@ func testManifest() Manifest {
 	return Manifest{Program: "CP", Mode: 3, Injections: 6, PlanHash: "00c0ffee00c0ffee", Scale: "sites=2 masks=3 bits=[1 6]"}
 }
 
+// TestMemoryStore: a memory store keeps appended records and writes
+// nothing.
+func TestMemoryStore(t *testing.T) {
+	s := Memory()
+	for i := 0; i < 3; i++ {
+		if err := s.Append(Record{Idx: i, ID: "id", Outcome: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := s.Done(2); !ok || s.Completed() != 3 {
+		t.Fatalf("memory store holds %d records, want 3", s.Completed())
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStoreAppendAndResume(t *testing.T) {
 	dir := t.TempDir()
 	m := testManifest()

@@ -30,6 +30,15 @@ func (t *Table) AddRow(cells ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
+// addOutcomeRow appends one row: the label cells, then tal's outcome
+// percentages in Figure 14's column order and its coverage.
+func (t *Table) addOutcomeRow(tal *Tally, labels ...any) {
+	t.AddRow(append(labels,
+		100*tal.Frac(OutcomeFailure), 100*tal.Frac(OutcomeMasked),
+		100*tal.Frac(OutcomeDetectedMasked), 100*tal.Frac(OutcomeDetected),
+		100*tal.Frac(OutcomeUndetected), 100*tal.Coverage())...)
+}
+
 // Render produces the aligned text form.
 func (t *Table) Render() string {
 	var sb strings.Builder

@@ -167,8 +167,8 @@ func (p *ProgressTracker) Emit(e Event) {
 	case EvCampaignDone:
 		p.s.State = "done"
 		p.s.Coverage = f.float("coverage")
-		// A done event without per-result progress events (the in-process
-		// figure path emits coarse progress) still lands on a full bar.
+		// A done event lands on a full bar even when some per-result
+		// progress events were dropped or never seen.
 		for i := range p.s.Shards {
 			if p.s.Shards[i].Total > 0 {
 				p.s.Shards[i].Completed = p.s.Shards[i].Total
